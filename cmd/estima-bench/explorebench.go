@@ -2,10 +2,7 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/service"
@@ -105,19 +102,8 @@ func runExploreBench(ctx context.Context, scale float64, outDir string) error {
 	if exploreSec > 0 {
 		doc.Speedup = fullSec / exploreSec
 	}
-	data, err := json.MarshalIndent(doc, "", "  ")
+	path, err := writeBench(outDir, "BENCH_explore.json", doc)
 	if err != nil {
-		return err
-	}
-	dir := outDir
-	if dir == "" {
-		dir = "."
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(dir, "BENCH_explore.json")
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
 	fmt.Printf("explore bench: %d of %d cells simulated (%.0f%% saved, target met: %t) in %.2fs vs full grid %.2fs (%.1fx); wrote %s\n",

@@ -227,22 +227,29 @@ func runSweepBench(ctx context.Context, scale float64, cacheDir, outDir string) 
 	if warmSec > 0 {
 		doc.Speedup = coldSec / warmSec
 	}
-	data, err := json.MarshalIndent(doc, "", "  ")
+	path, err := writeBench(outDir, "BENCH_sweep.json", doc)
 	if err != nil {
-		return err
-	}
-	dir := outDir
-	if dir == "" {
-		dir = "."
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(dir, "BENCH_sweep.json")
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
 	fmt.Printf("sweep bench: %d cells cold %.2fs (%d fits) -> warm %.3fs (%d fits, %.0fx); wrote %s\n",
 		doc.Cells, doc.ColdSeconds, doc.ColdFits, doc.WarmSeconds, doc.WarmFits, doc.Speedup, path)
 	return nil
+}
+
+// writeBench writes doc as dir/name ("" means the working directory):
+// two-space indented JSON with a trailing newline, the format the CI jq
+// gates read. It returns the written path.
+func writeBench(dir, name string, doc any) (string, error) {
+	data, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return "", err
+	}
+	if dir == "" {
+		dir = "."
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", err
+	}
+	path := filepath.Join(dir, name)
+	return path, os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -2,13 +2,10 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"time"
@@ -211,19 +208,8 @@ func runServeBench(ctx context.Context, scale float64, outDir string) error {
 			lvl.Clients, lvl.Requests, lvl.Seconds, lvl.Throughput, lvl.P50Millis, lvl.P95Millis, lvl.P99Millis, lvl.Rejected, lvl.Errors)
 	}
 
-	data, err := json.MarshalIndent(doc, "", "  ")
+	path, err := writeBench(outDir, "BENCH_http.json", doc)
 	if err != nil {
-		return err
-	}
-	dir := outDir
-	if dir == "" {
-		dir = "."
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(dir, "BENCH_http.json")
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
 	fmt.Printf("serve bench: wrote %s\n", path)

@@ -1,10 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"time"
 
@@ -132,19 +129,8 @@ func runSimBench(machName string, scale, baseline float64, outDir string) error 
 		}
 	}
 
-	data, err := json.MarshalIndent(doc, "", "  ")
+	path, err := writeBench(outDir, "BENCH_sim.json", doc)
 	if err != nil {
-		return err
-	}
-	dir := outDir
-	if dir == "" {
-		dir = "."
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(dir, "BENCH_sim.json")
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
 	fmt.Printf("sim bench: %s 1..%d x %d workloads in %.2fs (%.2fM ops/s", mach.Name,

@@ -12,7 +12,7 @@
 //
 //	//estima:timing [reason]
 //	    Package-level opt-out for timing-measurement packages: the package's
-//	    whole job is to read wall clocks (perfcol, syncprof, timex, stm,
+//	    whole job is to read wall clocks (perfcol, timex, stm,
 //	    estima-bench), so the determinism analyzer skips it. The directive
 //	    may appear in any file-level comment of the package.
 //

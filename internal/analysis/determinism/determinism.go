@@ -4,7 +4,7 @@
 // prediction-path code never reads time.Now, never draws from the global
 // math/rand stream, and never lets goroutine scheduling order pick between
 // result channels. The analyzer enforces that by default in every package;
-// packages whose *job* is timing (perfcol, syncprof, timex, stm,
+// packages whose *job* is timing (perfcol, timex, stm,
 // estima-bench) opt out with a package-level //estima:timing directive, and
 // _test.go files are always exempt.
 package determinism

@@ -6,16 +6,18 @@
 // (service.RouteKey over the spec-canonical workload and machine names —
 // the PR 5 identity layer makes sharding free): every request for one
 // scenario lands on the worker whose store and memos already hold it.
-// Sweeps are planned locally (service.PlanSweep — identical validation,
-// identical plan order), fanned out one cell per worker request, and merged
-// plan-index-order-stable, so coordinator responses are byte-identical to
-// single-process ones; the conformance suite locks that. Overlapping
-// requests from different clients coalesce in an in-flight registry
-// (flights.go) before they ever reach a worker. Workers that fail probes or
-// requests are routed around via the ring's successor order, with the
-// coordinator's own embedded Service as the last resort — degraded service
-// is cold and slower but never wrong, because every result is
-// deterministic.
+// The coordinator serves the service's own route table (service.Tier),
+// substituting only a relay, a per-cell runner and the fleet half of
+// /readyz. Sweeps and explores are planned locally (service.PlanSweep —
+// identical validation, identical plan order), fanned out one cell per
+// worker request, and merged plan-index-order-stable, so coordinator
+// responses are byte-identical to single-process ones; the conformance
+// suite locks that. Overlapping requests from different clients coalesce in
+// in-flight groups (internal/flight) before they ever reach a worker.
+// Workers that fail probes or requests are routed around via the ring's
+// successor order, with the coordinator's own embedded Service as the last
+// resort — degraded service is cold and slower but never wrong, because
+// every result is deterministic.
 //
 //estima:timing health probing, retry backoff and probe deadlines are inherently wall-clock
 package cluster
@@ -35,6 +37,7 @@ import (
 	"time"
 
 	"repro/internal/cluster/ring"
+	"repro/internal/flight"
 	"repro/internal/machine"
 	"repro/internal/service"
 	"repro/internal/workloads"
@@ -81,11 +84,12 @@ type Coordinator struct {
 	client  *http.Client
 
 	// relayFlights coalesces identical relayed requests (key: path + raw
-	// body); cellFlights coalesces sweep cells by fit identity (key:
-	// PlannedCell.FitKey), which also catches *overlapping* grids whose
-	// bodies differ.
-	relayFlights *flights[relayResult]
-	cellFlights  *flights[service.SweepCell]
+	// body); cellFlights coalesces sweep and explore cells by fit identity
+	// (key: PlannedCell.FitKey), which also catches *overlapping* grids
+	// whose bodies differ. Both forget a flight as soon as it completes:
+	// the workers' store, series memo and fit memo are the durable layers.
+	relayFlights *flight.Group[string, relayResult]
+	cellFlights  *flight.Group[string, service.SweepCell]
 
 	stop context.CancelFunc
 	wg   sync.WaitGroup
@@ -113,8 +117,8 @@ func New(cfg Config) (*Coordinator, error) {
 		workers:      make([]string, len(cfg.Workers)),
 		healthy:      make([]atomic.Bool, len(cfg.Workers)),
 		client:       cfg.Client,
-		relayFlights: newFlights[relayResult](),
-		cellFlights:  newFlights[service.SweepCell](),
+		relayFlights: flight.New[string, relayResult](0),
+		cellFlights:  flight.New[string, service.SweepCell](0),
 	}
 	if c.client == nil {
 		c.client = &http.Client{}
@@ -363,7 +367,7 @@ func (c *Coordinator) relayHandler(path string, local http.Handler) http.Handler
 			local.ServeHTTP(w, r)
 			return
 		}
-		res, err := c.relayFlights.do(r.Context(), path+"\x00"+string(body),
+		res, err := c.relayFlights.Do(r.Context(), path+"\x00"+string(body),
 			func(ctx context.Context) (relayResult, error) {
 				return c.relay(ctx, path, key, body)
 			})
@@ -391,3 +395,50 @@ func (c *Coordinator) relayHandler(path string, local http.Handler) http.Handler
 
 // errFleetDown marks a relay that exhausted every worker.
 var errFleetDown = fmt.Errorf("cluster: no healthy worker reachable")
+
+// runCell is the coordinator's CellRunner, shared by sweeps and explores:
+// one planned cell, coalesced by fit identity — overlapping grids, even
+// from different clients, asking for the same (series, options, targets)
+// artifact share one worker request. Worker failures fail over along the
+// ring and bottom out at the local service; only the caller's own
+// cancellation surfaces as an error cell (never emitted — the response
+// aborts first).
+func (c *Coordinator) runCell(ctx context.Context, pc *service.PlannedCell) service.SweepCell {
+	cell, err := c.cellFlights.Do(ctx, pc.FitKey, func(ctx context.Context) (service.SweepCell, error) {
+		return c.executeCell(ctx, pc.Request)
+	})
+	if err != nil {
+		return service.SweepCell{Workload: pc.Request.Workload, Machine: pc.Request.Machine,
+			MeasCores: pc.Request.MeasCores, Error: err.Error()}
+	}
+	return cell
+}
+
+// executeCell runs one CellRequest against the fleet: route along the
+// ring, decode the worker's cell, or — when no worker can answer — execute
+// on the embedded local service (cold, correct, slower). Decoded-then-
+// re-encoded cells are byte-stable: encoding/json round-trips every float64
+// to the identical shortest representation.
+func (c *Coordinator) executeCell(ctx context.Context, req service.CellRequest) (service.SweepCell, error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return service.SweepCell{}, err
+	}
+	routeKey := service.RouteKey(req.Workload, req.Machine)
+	if res, rerr := c.relay(ctx, "/v1/cell", routeKey, body); rerr == nil && res.status == http.StatusOK {
+		var cr service.CellResponse
+		if json.Unmarshal(res.body, &cr) == nil {
+			return cr.Cell, nil
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		// Every waiter of this cell flight is gone: return the cancellation
+		// instead of burning a local simulation nobody will read.
+		return service.SweepCell{}, err
+	}
+	cr, err := c.cfg.Local.Cell(ctx, req)
+	if err != nil {
+		return service.SweepCell{}, err
+	}
+	return cr.Cell, nil
+}

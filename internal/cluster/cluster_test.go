@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,18 +19,18 @@ import (
 
 var bg = context.Background()
 
-// encodeNDJSON replicates the streaming encoder: one compact document per
-// line.
-func encodeNDJSON(t *testing.T, lines []service.SweepStreamLine) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for _, l := range lines {
-		if err := enc.Encode(l); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return buf.Bytes()
+// onFirstWrite is a response recorder that runs fn once, right after the
+// first body write — for a streamed sweep, the first emitted cell.
+type onFirstWrite struct {
+	*httptest.ResponseRecorder
+	once sync.Once
+	fn   func()
+}
+
+func (o *onFirstWrite) Write(b []byte) (int, error) {
+	n, err := o.ResponseRecorder.Write(b)
+	o.once.Do(o.fn)
+	return n, err
 }
 
 // TestWorkerKillMidSweep is the degraded-operation lock, run under -race in
@@ -38,38 +40,27 @@ func encodeNDJSON(t *testing.T, lines []service.SweepStreamLine) []byte {
 // determinism makes the reroute invisible.
 func TestWorkerKillMidSweep(t *testing.T) {
 	f := newFleet(t, 2, service.Config{})
-	req := service.SweepRequest{
-		Workloads: []string{"intruder", "genome"},
-		Machines:  []string{"Haswell"},
-		Scale:     0.05,
-		Workers:   1, // serial cells: the kill lands between cell 1 and cell 2
-	}
-
-	var lines []service.SweepStreamLine
-	killed := false
-	sum, err := f.coord.SweepStream(bg, req, func(c service.SweepCell) error {
-		cell := c
-		lines = append(lines, service.SweepStreamLine{Cell: &cell})
-		if !killed {
-			killed = true
-			// First cell emitted: the whole fleet goes down mid-sweep.
-			for _, s := range f.servers {
-				s.CloseClientConnections()
-				s.Close()
-			}
+	// Serial cells: the kill lands between cell 1 and cell 2.
+	body := `{"workloads":["intruder","genome"],"machines":["Haswell"],"scale":0.05,"workers":1}`
+	rec := &onFirstWrite{ResponseRecorder: httptest.NewRecorder(), fn: func() {
+		// First cell emitted: the whole fleet goes down mid-sweep.
+		for _, s := range f.servers {
+			s.CloseClientConnections()
+			s.Close()
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines = append(lines, service.SweepStreamLine{Summary: sum})
-	got := encodeNDJSON(t, lines)
+	}}
+	f.handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sweep?stream=ndjson", strings.NewReader(body)))
+	got := rec.Body.Bytes()
 	if want := serviceGolden(t, "sweep_stream.ndjson"); !bytes.Equal(got, want) {
 		t.Errorf("post-kill stream differs from single-process golden.\n--- golden\n%s\n--- got\n%s", want, got)
 	}
-	if sum.Failures != 0 {
-		t.Errorf("sweep reports %d failures after rerouting, want 0", sum.Failures)
+	lines := bytes.Split(bytes.TrimSpace(got), []byte("\n"))
+	var last service.SweepStreamLine
+	if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil || last.Summary == nil {
+		t.Fatalf("stream does not end with a summary (%v): %s", err, got)
+	}
+	if last.Summary.Failures != 0 {
+		t.Errorf("sweep reports %d failures after rerouting, want 0", last.Summary.Failures)
 	}
 }
 
@@ -136,7 +127,7 @@ func TestCoalescingSharesOneFlight(t *testing.T) {
 	}()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if _, hits := f.coord.relayFlights.stats(); hits >= 1 {
+		if _, hits := f.coord.relayFlights.Stats(); hits >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -157,7 +148,7 @@ func TestCoalescingSharesOneFlight(t *testing.T) {
 	if workerRequests != 1 {
 		t.Errorf("fleet served %d /v1/* requests for two identical clients, want 1", workerRequests)
 	}
-	started2, hits := f.coord.relayFlights.stats()
+	started2, hits := f.coord.relayFlights.Stats()
 	if started2 != 1 || hits != 1 {
 		t.Errorf("relay flights started=%d hits=%d, want 1/1", started2, hits)
 	}
@@ -211,26 +202,26 @@ func TestOverlappingSweepsShareCells(t *testing.T) {
 	}
 	f := newFleet(t, 2, blocking)
 
-	run := func(workloads []string, out chan<- *service.SweepResponse) {
-		resp, err := f.coord.Sweep(bg, service.SweepRequest{
-			Workloads: workloads, Machines: []string{"Haswell"}, Scale: 0.05,
-		})
-		if err != nil {
-			t.Error(err)
+	run := func(workloads string, out chan<- *service.SweepResponse) {
+		body := `{"workloads":[` + workloads + `],"machines":["Haswell"],"scale":0.05}`
+		status, b := do(t, f.handler, http.MethodPost, "/v1/sweep", body)
+		var resp service.SweepResponse
+		if err := json.Unmarshal(b, &resp); status != http.StatusOK || err != nil {
+			t.Errorf("sweep %s: status %d (%v): %s", workloads, status, err, b)
 			out <- nil
 			return
 		}
-		out <- resp
+		out <- &resp
 	}
 	aCh := make(chan *service.SweepResponse, 1)
 	bCh := make(chan *service.SweepResponse, 1)
-	go run([]string{"intruder"}, aCh)
+	go run(`"intruder"`, aCh)
 	<-started
-	go run([]string{"intruder", "genome"}, bCh)
+	go run(`"intruder","genome"`, bCh)
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if _, hits := f.coord.cellFlights.stats(); hits >= 1 {
+		if _, hits := f.coord.cellFlights.Stats(); hits >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -252,7 +243,7 @@ func TestOverlappingSweepsShareCells(t *testing.T) {
 	if !bytes.Equal(ab, bb) {
 		t.Errorf("shared cell differs between overlapping sweeps:\n%s\n%s", ab, bb)
 	}
-	cellsStarted, cellHits := f.coord.cellFlights.stats()
+	cellsStarted, cellHits := f.coord.cellFlights.Stats()
 	if cellHits < 1 {
 		t.Errorf("cell flights started=%d hits=%d, want at least one shared hit", cellsStarted, cellHits)
 	}

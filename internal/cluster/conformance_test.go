@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -82,9 +83,10 @@ func do(t *testing.T, h http.Handler, method, path, body string) (int, []byte) {
 	return rec.Code, rec.Body.Bytes()
 }
 
-// serviceGolden reads a golden from the service conformance suite — the
-// single-process bytes the cluster is locked against. The cluster suite
-// never rewrites them; regenerate with `go test ./internal/service -update`.
+// serviceGolden reads a file of the service conformance suite's testdata;
+// its goldens are the single-process bytes the cluster is locked against.
+// The cluster suite never rewrites them; regenerate with
+// `go test ./internal/service -update`.
 func serviceGolden(t *testing.T, file string) []byte {
 	t.Helper()
 	b, err := os.ReadFile(filepath.Join("..", "service", "testdata", file))
@@ -94,43 +96,22 @@ func serviceGolden(t *testing.T, file string) []byte {
 	return b
 }
 
-// conformanceCases is the service conformance suite's exact ordered case
-// list: same requests, same order, so the fleet's memo state evolves the
-// way the single process's did when the goldens were recorded.
-var conformanceCases = []struct {
-	golden string
-	method string
-	path   string
-	body   string
-}{
-	{"workloads.json", http.MethodGet, "/v1/workloads", ""},
-	{"machines.json", http.MethodGet, "/v1/machines", ""},
-	{"predict.json", http.MethodPost, "/v1/predict",
-		`{"api_version":"v1","workload":"intruder","machine":"Haswell","scale":0.05,"compare":true}`},
-	{"predict_boot.json", http.MethodPost, "/v1/predict",
-		`{"workload":"genome","machine":"Haswell","scale":0.05,"soft":true,"bootstrap":50}`},
-	{"sweep.json", http.MethodPost, "/v1/sweep",
-		`{"workloads":["intruder","genome"],"machines":["Haswell"],"scale":0.05}`},
-	{"collect.json", http.MethodPost, "/v1/collect",
-		`{"workload":"intruder","machine":"Haswell","cores":"1-2","scale":0.05}`},
-	{"curve.json", http.MethodPost, "/v1/curve",
-		`{"workload":"intruder","machine":"Haswell","cores":"1-3","scale":0.05}`},
-	{"workloads_schemas.json", http.MethodGet, "/v1/workloads?schemas=1", ""},
-	{"machines_schemas.json", http.MethodGet, "/v1/machines?schemas=1", ""},
-	{"predict_param.json", http.MethodPost, "/v1/predict",
-		`{"workload":"intruder?batch=4","machine":"Haswell?cores=2","scale":0.05,"compare":true}`},
-	{"sweep_param.json", http.MethodPost, "/v1/sweep",
-		`{"workloads":["intruder?batch=2,batch=4"],"machines":["Haswell?cores=2"],"scale":0.05}`},
-	{"collect_param.json", http.MethodPost, "/v1/collect",
-		`{"workload":"memcached?skew=3","machine":"Haswell","cores":"1-2","scale":0.05}`},
-	{"curve_param.json", http.MethodPost, "/v1/curve",
-		`{"workload":"sqlite?writepct=80","machine":"Haswell","cores":"1-2","scale":0.05}`},
-	{"diagnose.json", http.MethodPost, "/v1/diagnose",
-		`{"workload":"memcached?skew=3","machine":"Haswell","target":"Xeon20","scale":0.05,"soft":true}`},
-	{"diagnose_hw.json", http.MethodPost, "/v1/diagnose",
-		`{"workload":"intruder","machine":"Haswell","scale":0.05}`},
-	{"explore.json", http.MethodPost, "/v1/explore",
-		`{"workload":"memcached?skew=1.5,skew=2.5,setpct=0,setpct=20","machine":"Haswell","scale":0.05}`},
+// conformanceCase is one request of the service conformance suite's case
+// list (internal/service/testdata/conformance.json).
+type conformanceCase struct {
+	Golden, Method, Path string
+	Body                 json.RawMessage
+}
+
+// conformanceCases reads that list, in order, so the fleet's memo state
+// evolves the way the single process's did when the goldens were recorded.
+func conformanceCases(t *testing.T) []conformanceCase {
+	t.Helper()
+	var cases []conformanceCase
+	if err := json.Unmarshal(serviceGolden(t, "conformance.json"), &cases); err != nil {
+		t.Fatal(err)
+	}
+	return cases
 }
 
 // TestClusterConformance is the tentpole's lock: every service-suite golden
@@ -140,15 +121,15 @@ var conformanceCases = []struct {
 // the bytes.
 func TestClusterConformance(t *testing.T) {
 	f := newFleet(t, 2, service.Config{})
-	for _, c := range conformanceCases {
-		t.Run(c.golden, func(t *testing.T) {
-			status, body := do(t, f.handler, c.method, c.path, c.body)
+	for _, c := range conformanceCases(t) {
+		t.Run(c.Golden, func(t *testing.T) {
+			status, body := do(t, f.handler, c.Method, c.Path, string(c.Body))
 			if status != http.StatusOK {
 				t.Fatalf("status %d: %s", status, body)
 			}
-			if want := serviceGolden(t, c.golden); !bytes.Equal(body, want) {
+			if want := serviceGolden(t, c.Golden); !bytes.Equal(body, want) {
 				t.Errorf("cluster body differs from single-process golden %s.\n--- single-process\n%s\n--- cluster\n%s",
-					c.golden, want, body)
+					c.Golden, want, body)
 			}
 		})
 	}

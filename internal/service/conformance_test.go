@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/url"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -58,202 +60,125 @@ func checkGolden(t *testing.T, file string, got []byte) {
 	}
 }
 
-// TestServiceConformance is the anti-drift suite: every /v1/* endpoint is
-// executed twice — once through the in-process service.New path, once over
-// HTTP — and the two must answer byte-identical JSON bodies, which are also
-// pinned as goldens. Both paths share one Service, so memoized state
-// (series hit flags are recorded at collection, fitted models at first
-// computation) answers identically regardless of which path runs first.
+// conformanceCase is one request of testdata/conformance.json, the case
+// list the service and cluster suites both replay, in file order: later
+// cases' cache_hit flags depend on what earlier ones warmed. (The explore
+// region deliberately avoids cells earlier cases warm, so its golden does
+// not depend on case order.)
+type conformanceCase struct {
+	Golden, Method, Path string
+	Body                 json.RawMessage
+}
+
+// loadConformanceCases reads the shared case list.
+func loadConformanceCases(t *testing.T) []conformanceCase {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", "conformance.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases []conformanceCase
+	if err := json.Unmarshal(b, &cases); err != nil {
+		t.Fatal(err)
+	}
+	return cases
+}
+
+// inProcess adapts one typed Service method to a conformance case's body.
+func inProcess[Req, Resp any](fn func(context.Context, Req) (*Resp, error)) func(context.Context, url.Values, []byte) (any, error) {
+	return func(ctx context.Context, _ url.Values, body []byte) (any, error) {
+		var req Req
+		if err := json.Unmarshal(body, &req); err != nil {
+			return nil, err
+		}
+		return fn(ctx, req)
+	}
+}
+
+// TestServiceConformance is the anti-drift suite: every case of the shared
+// list is executed twice — once through the in-process service.New path,
+// once over HTTP — and the two must answer byte-identical JSON bodies,
+// which are also pinned as goldens. Both paths share one Service, so
+// memoized state (series hit flags are recorded at collection, fitted
+// models at first computation) answers identically regardless of which path
+// runs first. Every route of the table must have a case, so a new endpoint
+// is covered at every tier (the cluster suite replays the same list).
 func TestServiceConformance(t *testing.T) {
 	svc := newTestService(t, Config{})
 	h := NewHandler(svc, ServerConfig{})
 
-	// list projects ListResponse exactly as the GET handlers do.
-	list := func(ctx context.Context) (*ListResponse, error) {
-		return svc.List(ctx, ListRequest{})
+	registry := func(project func(*ListResponse) any) func(context.Context, url.Values, []byte) (any, error) {
+		return func(ctx context.Context, q url.Values, _ []byte) (any, error) {
+			resp, err := svc.List(ctx, ListRequest{Verbose: q.Get("schemas") == "1"})
+			if err != nil {
+				return nil, err
+			}
+			return project(resp), nil
+		}
 	}
-	listVerbose := func(ctx context.Context) (*ListResponse, error) {
-		return svc.List(ctx, ListRequest{Verbose: true})
+	calls := map[string]func(ctx context.Context, q url.Values, body []byte) (any, error){
+		"POST /v1/predict":  inProcess(svc.Predict),
+		"POST /v1/sweep":    inProcess(svc.Sweep),
+		"POST /v1/collect":  inProcess(svc.Collect),
+		"POST /v1/curve":    inProcess(svc.Curve),
+		"POST /v1/cell":     inProcess(svc.Cell),
+		"POST /v1/explore":  inProcess(svc.Explore),
+		"POST /v1/diagnose": inProcess(svc.Diagnose),
+		"GET /v1/diagnose": func(ctx context.Context, q url.Values, _ []byte) (any, error) {
+			req, err := diagnoseRequestFromQuery(q)
+			if err != nil {
+				return nil, err
+			}
+			return svc.Diagnose(ctx, req)
+		},
+		"GET /v1/workloads": registry(func(l *ListResponse) any {
+			return WorkloadsResponse{APIVersion: l.APIVersion, Workloads: l.Workloads, Families: l.WorkloadFamilies}
+		}),
+		"GET /v1/machines": registry(func(l *ListResponse) any {
+			return MachinesResponse{APIVersion: l.APIVersion, Machines: l.Machines, Families: l.MachineFamilies}
+		}),
 	}
-	cases := []struct {
-		golden string
-		method string
-		path   string
-		body   string
-		call   func(ctx context.Context, body string) (any, error)
-	}{
-		{"workloads.json", http.MethodGet, "/v1/workloads", "",
-			func(ctx context.Context, _ string) (any, error) {
-				resp, err := list(ctx)
-				if err != nil {
-					return nil, err
-				}
-				return WorkloadsResponse{APIVersion: resp.APIVersion, Workloads: resp.Workloads}, nil
-			}},
-		{"machines.json", http.MethodGet, "/v1/machines", "",
-			func(ctx context.Context, _ string) (any, error) {
-				resp, err := list(ctx)
-				if err != nil {
-					return nil, err
-				}
-				return MachinesResponse{APIVersion: resp.APIVersion, Machines: resp.Machines}, nil
-			}},
-		{"predict.json", http.MethodPost, "/v1/predict",
-			`{"api_version":"v1","workload":"intruder","machine":"Haswell","scale":0.05,"compare":true}`,
-			func(ctx context.Context, body string) (any, error) {
-				var req PredictRequest
-				if err := json.Unmarshal([]byte(body), &req); err != nil {
-					return nil, err
-				}
-				return svc.Predict(ctx, req)
-			}},
-		{"predict_boot.json", http.MethodPost, "/v1/predict",
-			`{"workload":"genome","machine":"Haswell","scale":0.05,"soft":true,"bootstrap":50}`,
-			func(ctx context.Context, body string) (any, error) {
-				var req PredictRequest
-				if err := json.Unmarshal([]byte(body), &req); err != nil {
-					return nil, err
-				}
-				return svc.Predict(ctx, req)
-			}},
-		{"sweep.json", http.MethodPost, "/v1/sweep",
-			`{"workloads":["intruder","genome"],"machines":["Haswell"],"scale":0.05}`,
-			func(ctx context.Context, body string) (any, error) {
-				var req SweepRequest
-				if err := json.Unmarshal([]byte(body), &req); err != nil {
-					return nil, err
-				}
-				return svc.Sweep(ctx, req)
-			}},
-		{"collect.json", http.MethodPost, "/v1/collect",
-			`{"workload":"intruder","machine":"Haswell","cores":"1-2","scale":0.05}`,
-			func(ctx context.Context, body string) (any, error) {
-				var req CollectRequest
-				if err := json.Unmarshal([]byte(body), &req); err != nil {
-					return nil, err
-				}
-				return svc.Collect(ctx, req)
-			}},
-		{"curve.json", http.MethodPost, "/v1/curve",
-			`{"workload":"intruder","machine":"Haswell","cores":"1-3","scale":0.05}`,
-			func(ctx context.Context, body string) (any, error) {
-				var req CurveRequest
-				if err := json.Unmarshal([]byte(body), &req); err != nil {
-					return nil, err
-				}
-				return svc.Curve(ctx, req)
-			}},
 
-		// Parameterized specs on every endpoint: canonical spec strings in
-		// the responses, byte-identical across both paths.
-		{"workloads_schemas.json", http.MethodGet, "/v1/workloads?schemas=1", "",
-			func(ctx context.Context, _ string) (any, error) {
-				resp, err := listVerbose(ctx)
-				if err != nil {
-					return nil, err
-				}
-				return WorkloadsResponse{APIVersion: resp.APIVersion,
-					Workloads: resp.Workloads, Families: resp.WorkloadFamilies}, nil
-			}},
-		{"machines_schemas.json", http.MethodGet, "/v1/machines?schemas=1", "",
-			func(ctx context.Context, _ string) (any, error) {
-				resp, err := listVerbose(ctx)
-				if err != nil {
-					return nil, err
-				}
-				return MachinesResponse{APIVersion: resp.APIVersion,
-					Machines: resp.Machines, Families: resp.MachineFamilies}, nil
-			}},
-		{"predict_param.json", http.MethodPost, "/v1/predict",
-			`{"workload":"intruder?batch=4","machine":"Haswell?cores=2","scale":0.05,"compare":true}`,
-			func(ctx context.Context, body string) (any, error) {
-				var req PredictRequest
-				if err := json.Unmarshal([]byte(body), &req); err != nil {
-					return nil, err
-				}
-				return svc.Predict(ctx, req)
-			}},
-		{"sweep_param.json", http.MethodPost, "/v1/sweep",
-			`{"workloads":["intruder?batch=2,batch=4"],"machines":["Haswell?cores=2"],"scale":0.05}`,
-			func(ctx context.Context, body string) (any, error) {
-				var req SweepRequest
-				if err := json.Unmarshal([]byte(body), &req); err != nil {
-					return nil, err
-				}
-				return svc.Sweep(ctx, req)
-			}},
-		{"collect_param.json", http.MethodPost, "/v1/collect",
-			`{"workload":"memcached?skew=3","machine":"Haswell","cores":"1-2","scale":0.05}`,
-			func(ctx context.Context, body string) (any, error) {
-				var req CollectRequest
-				if err := json.Unmarshal([]byte(body), &req); err != nil {
-					return nil, err
-				}
-				return svc.Collect(ctx, req)
-			}},
-		{"curve_param.json", http.MethodPost, "/v1/curve",
-			`{"workload":"sqlite?writepct=80","machine":"Haswell","cores":"1-2","scale":0.05}`,
-			func(ctx context.Context, body string) (any, error) {
-				var req CurveRequest
-				if err := json.Unmarshal([]byte(body), &req); err != nil {
-					return nil, err
-				}
-				return svc.Curve(ctx, req)
-			}},
-
-		// Diagnose joins the byte-stability contract: sorted categories,
-		// fixed float precision, schema-drawn relief knob.
-		{"diagnose.json", http.MethodPost, "/v1/diagnose",
-			`{"workload":"memcached?skew=3","machine":"Haswell","target":"Xeon20","scale":0.05,"soft":true}`,
-			func(ctx context.Context, body string) (any, error) {
-				var req DiagnoseRequest
-				if err := json.Unmarshal([]byte(body), &req); err != nil {
-					return nil, err
-				}
-				return svc.Diagnose(ctx, req)
-			}},
-		{"diagnose_hw.json", http.MethodPost, "/v1/diagnose",
-			`{"workload":"intruder","machine":"Haswell","scale":0.05}`,
-			func(ctx context.Context, body string) (any, error) {
-				var req DiagnoseRequest
-				if err := json.Unmarshal([]byte(body), &req); err != nil {
-					return nil, err
-				}
-				return svc.Diagnose(ctx, req)
-			}},
-
-		// Explore joins the contract: the budgeted planner's round
-		// schedule, estimates, and cell order are all part of the pinned
-		// bytes. The region deliberately avoids cells earlier cases warm
-		// (memcached?skew=3 at this scale) so the golden does not depend
-		// on case order.
-		{"explore.json", http.MethodPost, "/v1/explore",
-			`{"workload":"memcached?skew=1.5,skew=2.5,setpct=0,setpct=20","machine":"Haswell","scale":0.05}`,
-			func(ctx context.Context, body string) (any, error) {
-				var req ExploreRequest
-				if err := json.Unmarshal([]byte(body), &req); err != nil {
-					return nil, err
-				}
-				return svc.Explore(ctx, req)
-			}},
-	}
+	cases := loadConformanceCases(t)
+	covered := map[string]bool{}
 	for _, c := range cases {
-		c := c
-		t.Run(c.golden, func(t *testing.T) {
-			inProc, err := c.call(bg, c.body)
+		path, _, _ := strings.Cut(c.Path, "?")
+		covered[c.Method+" "+path] = true
+	}
+	for _, rt := range routes {
+		pattern := rt.method + " " + rt.path
+		if !covered[pattern] {
+			t.Errorf("route %s has no case in testdata/conformance.json", pattern)
+		}
+		if calls[pattern] == nil {
+			t.Errorf("route %s has no in-process call in this suite", pattern)
+		}
+	}
+
+	for _, c := range cases {
+		t.Run(c.Golden, func(t *testing.T) {
+			u, err := url.Parse(c.Path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			call := calls[c.Method+" "+u.Path]
+			if call == nil {
+				t.Fatalf("no route %s %s", c.Method, u.Path)
+			}
+			inProc, err := call(bg, u.Query(), c.Body)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := encodeHTTPBody(t, inProc)
 
-			status, httpBody := do(t, h, c.method, c.path, c.body)
+			status, httpBody := do(t, h, c.Method, c.Path, string(c.Body))
 			if status != http.StatusOK {
 				t.Fatalf("status %d: %s", status, httpBody)
 			}
 			if !bytes.Equal(httpBody, want) {
 				t.Errorf("HTTP body differs from the in-process path.\n--- in-process\n%s\n--- http\n%s", want, httpBody)
 			}
-			checkGolden(t, c.golden, httpBody)
+			checkGolden(t, c.Golden, httpBody)
 		})
 	}
 }

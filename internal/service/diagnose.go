@@ -310,11 +310,10 @@ func diagnoseSummary(resp *DiagnoseResponse) string {
 	return s
 }
 
-// DiagnoseRequestFromQuery builds a DiagnoseRequest from GET /v1/diagnose
+// diagnoseRequestFromQuery builds a DiagnoseRequest from GET /v1/diagnose
 // query parameters — the same fields the POST body carries, so both verbs
-// validate and answer identically. Exported for the cluster coordinator,
-// whose GET handling must produce the exact single-process bytes.
-func DiagnoseRequestFromQuery(q url.Values) (DiagnoseRequest, error) {
+// validate and answer identically.
+func diagnoseRequestFromQuery(q url.Values) (DiagnoseRequest, error) {
 	req := DiagnoseRequest{
 		APIVersion: q.Get("api_version"),
 		Workload:   q.Get("workload"),
@@ -332,6 +331,11 @@ func DiagnoseRequestFromQuery(q url.Values) (DiagnoseRequest, error) {
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil {
 			return req, badRequest("bad scale %q: not a number", v)
+		}
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			// The request travels as a JSON body, which has no spelling
+			// for non-finite numbers.
+			return req, badRequest("bad scale %q: not a finite number", v)
 		}
 		req.Scale = f
 	}

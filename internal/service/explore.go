@@ -142,48 +142,9 @@ type ExploreResponse struct {
 	Failures        int            `json:"failures"`
 }
 
-// ExploreCellJob is one cell the planner decided to simulate, fully
-// resolved: the exact CellRequest to execute plus the routing and dedup
-// identities the cluster coordinator fans out by. Jobs are built in one
-// place — here — so the single-process and coordinator tiers execute
-// byte-identical requests by construction.
-type ExploreCellJob struct {
-	// Index is the cell's position in plan (= response) order.
-	Index    int
-	Req      CellRequest
-	RouteKey string
-	FitKey   string
-}
-
-// ExploreRunner executes one round's batch and returns one SweepCell per
-// job, positionally. Execution failures are recorded in the cell's Error,
-// never returned: an error return means the whole explore is over
-// (cancellation). The service's own runner is a bounded local pool; the
-// cluster coordinator substitutes its per-cell fleet fan-out.
-type ExploreRunner func(ctx context.Context, jobs []ExploreCellJob, workers int) ([]SweepCell, error)
-
 // Explore answers an ExploreRequest in process.
 func (s *Service) Explore(ctx context.Context, req ExploreRequest) (*ExploreResponse, error) {
-	return s.ExploreWith(ctx, req, s.runExploreBatch)
-}
-
-// runExploreBatch executes one batch through the local planner path,
-// bounded by the plan's worker count.
-func (s *Service) runExploreBatch(ctx context.Context, jobs []ExploreCellJob, workers int) ([]SweepCell, error) {
-	out := make([]SweepCell, len(jobs))
-	pool.ForN(len(jobs), workers, func(i int) {
-		resp, err := s.Cell(ctx, jobs[i].Req)
-		if err != nil {
-			out[i] = SweepCell{Workload: jobs[i].Req.Workload, Machine: jobs[i].Req.Machine,
-				MeasCores: jobs[i].Req.MeasCores, Error: err.Error()}
-			return
-		}
-		out[i] = resp.Cell
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return s.explore(ctx, req, s.runCell)
 }
 
 // exploreCellState is the planner's working state for one region cell.
@@ -201,11 +162,11 @@ type exploreCellState struct {
 	estOK                 bool
 }
 
-// ExploreWith is Explore with a pluggable batch runner — the seam the
-// cluster coordinator uses to keep every planning decision (validation,
-// grid order, seeding, acquisition, estimation) in exactly one place while
-// substituting its fleet fan-out for cell execution.
-func (s *Service) ExploreWith(ctx context.Context, req ExploreRequest, run ExploreRunner) (*ExploreResponse, error) {
+// explore is Explore with each measured cell executed by run. Every
+// planning decision (validation, grid order, seeding, acquisition,
+// estimation) stays here, so a coordinator that substitutes its fleet
+// fan-out for run answers byte-identically.
+func (s *Service) explore(ctx context.Context, req ExploreRequest, run CellRunner) (*ExploreResponse, error) {
 	if err := checkVersion(req.APIVersion); err != nil {
 		return nil, err
 	}
@@ -222,7 +183,7 @@ func (s *Service) ExploreWith(ctx context.Context, req ExploreRequest, run Explo
 	// The region decomposes through the ordinary sweep planner: identical
 	// validation, canonical cell names, deterministic grid order, and the
 	// same fit/series identities every other entry point uses.
-	plan, err := s.planSweep(SweepRequest{
+	plan, err := s.PlanSweep(SweepRequest{
 		APIVersion: req.APIVersion,
 		Workloads:  []string{req.Workload},
 		Machines:   []string{req.Machine},
@@ -237,10 +198,10 @@ func (s *Service) ExploreWith(ctx context.Context, req ExploreRequest, run Explo
 	if err != nil {
 		return nil, err
 	}
-	if len(plan.machineNames) != 1 {
-		return nil, badRequest("explore takes exactly one machine (got %d)", len(plan.machineNames))
+	if len(plan.Machines) != 1 {
+		return nil, badRequest("explore takes exactly one machine (got %d)", len(plan.Machines))
 	}
-	n := len(plan.cells)
+	n := len(plan.Cells)
 	if req.Budget < 0 {
 		return nil, badRequest("negative exploration budget %d", req.Budget)
 	}
@@ -273,27 +234,29 @@ func (s *Service) ExploreWith(ctx context.Context, req ExploreRequest, run Explo
 	// family's own typed schema, so distance needs no reflection and no
 	// per-key scale guessing. Every cell shares one family (the region is
 	// one grid spec), hence one schema.
-	schema := familySchema(spec.Family(plan.cells[0].workload))
+	first := &plan.Cells[0]
+	schema := familySchema(spec.Family(first.Request.Workload))
 	states := make([]*exploreCellState, n)
-	for i, pc := range plan.cells {
-		sp, err := spec.Parse(pc.workload)
+	for i := range plan.Cells {
+		wl := plan.Cells[i].Request.Workload
+		sp, err := spec.Parse(wl)
 		if err != nil {
-			return nil, badRequest("region cell %q: %v", pc.workload, err)
+			return nil, badRequest("region cell %q: %v", wl, err)
 		}
 		vals, err := schema.Resolve(sp)
 		if err != nil {
-			return nil, badRequest("region cell %q: %v", pc.workload, err)
+			return nil, badRequest("region cell %q: %v", wl, err)
 		}
-		states[i] = &exploreCellState{workload: pc.workload, point: schema.Point(vals)}
+		states[i] = &exploreCellState{workload: wl, point: schema.Point(vals)}
 	}
 
 	resp := &ExploreResponse{
 		APIVersion:    APIVersion,
 		Workload:      canonicalRegion(req.Workload),
-		Machine:       plan.machineNames[0],
-		MeasCores:     plan.cells[0].measCores,
-		Scale:         plan.cells[0].scale,
-		TargetCores:   plan.cells[0].mach.NumCores(),
+		Machine:       plan.Machines[0],
+		MeasCores:     first.Request.MeasCores,
+		Scale:         first.Request.Scale,
+		TargetCores:   first.mach.NumCores(),
 		TargetBandPct: target,
 		Budget:        budget,
 		RoundSize:     roundSize,
@@ -304,45 +267,20 @@ func (s *Service) ExploreWith(ctx context.Context, req ExploreRequest, run Explo
 		FullGridSims:  n,
 	}
 
-	jobFor := func(i int) ExploreCellJob {
-		pc := plan.cells[i]
-		return ExploreCellJob{
-			Index: i,
-			Req: CellRequest{
-				Workload:  pc.workload,
-				Machine:   pc.mach.Name,
-				MeasCores: pc.measCores,
-				Scale:     pc.scale,
-				Soft:      req.Soft,
-				Bootstrap: boot,
-				CILevel:   req.CILevel,
-				Seed:      req.Seed,
-			},
-			RouteKey: RouteKey(pc.workload, pc.mach.Name),
-			FitKey:   pc.fitID,
-		}
-	}
-
 	batch := seedBatch(states, min(roundSize, budget))
 	maxEst := 0.0 // the estimate that triggered the batch; 0 for the seed
 	for round := 1; len(batch) > 0; round++ {
-		jobs := make([]ExploreCellJob, len(batch))
-		simulated := make([]string, len(batch))
-		for bi, i := range batch {
-			jobs[bi] = jobFor(i)
-			simulated[bi] = states[i].workload
-		}
-		out, err := run(ctx, jobs, plan.workers)
-		if err != nil {
+		pool.ForN(len(batch), plan.Workers, func(bi int) {
+			states[batch[bi]].cell = run(ctx, &plan.Cells[batch[bi]])
+		})
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if len(out) != len(jobs) {
-			return nil, fmt.Errorf("explore runner returned %d cells for %d jobs", len(out), len(jobs))
-		}
+		simulated := make([]string, len(batch))
 		for bi, i := range batch {
 			states[i].measured = true
 			states[i].round = round
-			states[i].cell = out[bi]
+			simulated[bi] = states[i].workload
 		}
 		resp.SimsUsed += len(batch)
 		resp.Rounds = append(resp.Rounds, ExploreRound{

@@ -220,12 +220,12 @@ func TestRetryAfterScalesWithLoad(t *testing.T) {
 // TestRetryAfterIsCapped: a gate cannot ask clients to wait forever — the
 // hint tops out at maxRetryAfterSeconds no matter the backlog.
 func TestRetryAfterIsCapped(t *testing.T) {
-	g := NewGate(1, -1)
+	g := newGate(1, -1)
 	g.inFlight.Store(100)
 	if got := g.retryAfter(); got != "8" {
 		t.Errorf("retryAfter under 100x load = %q, want the %d cap", got, maxRetryAfterSeconds)
 	}
-	if got := NewGate(1, -1).retryAfter(); got != "1" {
+	if got := newGate(1, -1).retryAfter(); got != "1" {
 		t.Errorf("idle retryAfter = %q, want \"1\"", got)
 	}
 }

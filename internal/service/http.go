@@ -1,11 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
 	"sync"
@@ -46,16 +49,14 @@ type endpointGauge struct {
 	rejected atomic.Int64
 }
 
-// Gate is the admission controller in front of every /v1/* endpoint: a
+// gate is the admission controller in front of every /v1/* endpoint: a
 // semaphore bounding in-flight requests plus a bounded wait queue. Arrivals
 // beyond both bounds are answered 429 with Retry-After instead of blocking,
 // so a saturated server degrades into fast, explicit rejections rather than
-// a pile of hanging connections. Per-endpoint gauges feed /readyz.
-//
-// The coordinator (internal/cluster) builds its own Gate with the same
-// semantics, so single-process, worker and coordinator admission behaviour
-// cannot drift.
-type Gate struct {
+// a pile of hanging connections. Per-endpoint gauges feed /readyz. Every
+// tier builds its gate here, so single-process, worker and coordinator
+// admission behaviour cannot drift.
+type gate struct {
 	slots    chan struct{}
 	queueCap int64
 	inFlight atomic.Int64
@@ -66,9 +67,9 @@ type Gate struct {
 	gauges map[string]*endpointGauge
 }
 
-// NewGate builds a Gate from the ServerConfig bounds (see ServerConfig for
+// newGate builds a gate from the ServerConfig bounds (see ServerConfig for
 // the zero-value defaults).
-func NewGate(maxInFlight, maxQueue int) *Gate {
+func newGate(maxInFlight, maxQueue int) *gate {
 	if maxInFlight <= 0 {
 		maxInFlight = 2 * runtime.NumCPU()
 	}
@@ -78,7 +79,7 @@ func NewGate(maxInFlight, maxQueue int) *Gate {
 	case maxQueue < 0:
 		maxQueue = 0
 	}
-	return &Gate{
+	return &gate{
 		slots:    make(chan struct{}, maxInFlight),
 		queueCap: int64(maxQueue),
 		gauges:   map[string]*endpointGauge{},
@@ -86,18 +87,18 @@ func NewGate(maxInFlight, maxQueue int) *Gate {
 }
 
 // Capacity returns the in-flight bound.
-func (g *Gate) Capacity() int { return cap(g.slots) }
+func (g *gate) Capacity() int { return cap(g.slots) }
 
 // InFlight returns the number of requests currently executing.
-func (g *Gate) InFlight() int64 { return g.inFlight.Load() }
+func (g *gate) InFlight() int64 { return g.inFlight.Load() }
 
 // Queued returns the number of requests currently waiting for a slot.
-func (g *Gate) Queued() int64 { return g.queued.Load() }
+func (g *gate) Queued() int64 { return g.queued.Load() }
 
 // register returns (creating if needed) the gauge for one endpoint label.
 // Endpoints are registered at handler-construction time, so the set is fixed
 // before any request arrives.
-func (g *Gate) register(endpoint string) *endpointGauge {
+func (g *gate) register(endpoint string) *endpointGauge {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if eg, ok := g.gauges[endpoint]; ok {
@@ -111,7 +112,7 @@ func (g *Gate) register(endpoint string) *endpointGauge {
 
 // Depths snapshots every endpoint's admission gauges in registration order,
 // so /readyz bodies are deterministic.
-func (g *Gate) Depths() []EndpointDepth {
+func (g *gate) Depths() []EndpointDepth {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	out := make([]EndpointDepth, 0, len(g.order))
@@ -138,7 +139,7 @@ const maxRetryAfterSeconds = 8
 // "2"; one drowning four capacities deep says "5" — so coordinators that
 // honor the hint spread their retries with the actual load instead of
 // hammering a fixed beat.
-func (g *Gate) retryAfter() string {
+func (g *gate) retryAfter() string {
 	load := g.inFlight.Load() + g.queued.Load()
 	secs := 1 + load/int64(cap(g.slots))
 	if secs > maxRetryAfterSeconds {
@@ -147,12 +148,12 @@ func (g *Gate) retryAfter() string {
 	return strconv.FormatInt(secs, 10)
 }
 
-// Wrap gates a handler under the endpoint's label: a free slot admits
+// wrap gates a handler under the endpoint's label: a free slot admits
 // immediately; otherwise the request queues while the bounded queue has
 // room, and is rejected with 429 + Retry-After once it does not. A client
 // that gives up while queued is answered 503 (nothing else is left to say,
 // but proxies that still listen get a truthful status).
-func (g *Gate) Wrap(endpoint string, next http.Handler) http.Handler {
+func (g *gate) wrap(endpoint string, next http.Handler) http.Handler {
 	eg := g.register(endpoint)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		select {
@@ -196,7 +197,39 @@ type errorJSON struct {
 	Error string `json:"error"`
 }
 
-// NewHandler wraps a Service in the HTTP/JSON API:
+// policy says how a coordinator serves a route.
+type policy int
+
+const (
+	// relayed routes go to the worker owning the request's RouteKey, with
+	// the local handler as the fallback for what cannot be routed.
+	relayed policy = iota
+	// planned routes plan locally and execute each cell through the tier's
+	// CellRunner.
+	planned
+	// local routes are always answered by the local service: what exists
+	// cannot depend on which workers are up.
+	local
+)
+
+// route is one row of the API table.
+type route struct {
+	method, path string
+	// gate is the admission-gate label, shared by both verbs of one
+	// endpoint.
+	gate   string
+	policy policy
+	// query, when set, serves a GET spelling of a POST handler: it turns
+	// the query string into the request the POST body carries.
+	query func(url.Values) (any, error)
+	// handler builds the endpoint over a service; planned routes execute
+	// their cells with run.
+	handler func(s *Service, run CellRunner) http.Handler
+}
+
+// routes is the HTTP/JSON API, one row per endpoint, in /readyz gauge
+// order. Both tiers build their muxes from it (Tier.Handler), so adding an
+// endpoint is one row here plus the Service method behind it.
 //
 //	POST /v1/predict              PredictRequest  → PredictResponse
 //	POST /v1/sweep                SweepRequest    → SweepResponse
@@ -207,138 +240,147 @@ type errorJSON struct {
 //	POST /v1/explore              ExploreRequest  → ExploreResponse
 //	POST /v1/diagnose             DiagnoseRequest → DiagnoseResponse
 //	GET  /v1/diagnose             (query params)  → DiagnoseResponse
-//	GET  /v1/workloads                            → WorkloadsResponse
-//	GET  /v1/machines                             → MachinesResponse
-//	GET  /healthz                                 → liveness + gauges
-//	GET  /readyz                                  → ReadyResponse
-//
-// Every /v1/* request runs under the admission gate and the request's
-// context, so a disconnecting client cancels its pipeline workers and a
-// saturated server rejects with 429 instead of hanging. /healthz and
+//	GET  /v1/workloads[?schemas=1]                → WorkloadsResponse
+//	GET  /v1/machines[?schemas=1]                 → MachinesResponse
+var routes = []route{
+	{"POST", "/v1/predict", "predict", relayed, nil, serve((*Service).Predict)},
+	{"POST", "/v1/sweep", "sweep", planned, nil, sweepHandler},
+	{"POST", "/v1/collect", "collect", relayed, nil, serve((*Service).Collect)},
+	{"POST", "/v1/curve", "curve", relayed, nil, serve((*Service).Curve)},
+	{"POST", "/v1/cell", "cell", relayed, nil, serve((*Service).Cell)},
+	{"POST", "/v1/explore", "explore", planned, nil, func(s *Service, run CellRunner) http.Handler {
+		return handleJSON(func(ctx context.Context, req ExploreRequest) (*ExploreResponse, error) {
+			return s.explore(ctx, req, run)
+		})
+	}},
+	{"POST", "/v1/diagnose", "diagnose", relayed, nil, serve((*Service).Diagnose)},
+	{"GET", "/v1/diagnose", "diagnose", relayed, func(q url.Values) (any, error) {
+		return diagnoseRequestFromQuery(q)
+	}, serve((*Service).Diagnose)},
+	{"GET", "/v1/workloads", "workloads", local, nil, registry(func(l *ListResponse) any {
+		return WorkloadsResponse{APIVersion: l.APIVersion, Workloads: l.Workloads, Families: l.WorkloadFamilies}
+	})},
+	{"GET", "/v1/machines", "machines", local, nil, registry(func(l *ListResponse) any {
+		return MachinesResponse{APIVersion: l.APIVersion, Machines: l.Machines, Families: l.MachineFamilies}
+	})},
+}
+
+// Tier is what a serving tier substitutes into the route table. The zero
+// Tier serves every route from the Service itself, as a single process or
+// a worker does.
+type Tier struct {
+	// Relay, when set, wraps the local handler of every relayed route; path
+	// names the endpoint.
+	Relay func(path string, local http.Handler) http.Handler
+	// RunCell, when set, executes the cells of planned routes.
+	RunCell CellRunner
+	// Ready, when set, completes the /readyz body.
+	Ready func(ctx context.Context, ready *ReadyResponse)
+}
+
+// NewHandler serves a Service over the HTTP/JSON API (see routes) as a
+// single process or, with cfg.Mode "worker", a coordinator's worker.
+func NewHandler(svc *Service, cfg ServerConfig) http.Handler {
+	return Tier{}.Handler(svc, cfg)
+}
+
+// Handler builds the API mux over svc from the route table with the tier's
+// substitutions. Every /v1/* request runs under the admission gate and the
+// request's context, so a disconnecting client cancels its pipeline workers
+// and a saturated server rejects with 429 instead of hanging. /healthz and
 // /readyz never touch the gate: probes must answer even when every slot and
 // queue ticket is taken.
-func NewHandler(svc *Service, cfg ServerConfig) http.Handler {
-	gate := NewGate(cfg.MaxInFlight, cfg.MaxQueue)
+func (t Tier) Handler(svc *Service, cfg ServerConfig) http.Handler {
+	g := newGate(cfg.MaxInFlight, cfg.MaxQueue)
 	mode := cfg.Mode
 	if mode == "" {
 		mode = "single"
+	}
+	if t.RunCell == nil {
+		t.RunCell = svc.runCell
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{
 			"status":    "ok",
 			"version":   APIVersion,
-			"in_flight": gate.InFlight(),
-			"queued":    gate.Queued(),
-			"capacity":  gate.Capacity(),
+			"in_flight": g.InFlight(),
+			"queued":    g.Queued(),
+			"capacity":  g.Capacity(),
 		})
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, &ReadyResponse{
+		ready := &ReadyResponse{
 			APIVersion: APIVersion,
 			Status:     "ok",
 			Mode:       mode,
 			StoreDir:   svc.StoreDir(),
-			Capacity:   gate.Capacity(),
-			Queue:      gate.Depths(),
-		})
+			Capacity:   g.Capacity(),
+			Queue:      g.Depths(),
+		}
+		if t.Ready != nil {
+			t.Ready(r.Context(), ready)
+		}
+		writeJSON(w, http.StatusOK, ready)
 	})
-	mux.Handle("POST /v1/predict", gate.Wrap("predict", PredictHandler(svc)))
-	mux.Handle("POST /v1/sweep", gate.Wrap("sweep", NewSweepHandler(svc.Sweep, svc.SweepStream)))
-	mux.Handle("POST /v1/collect", gate.Wrap("collect", CollectHandler(svc)))
-	mux.Handle("POST /v1/curve", gate.Wrap("curve", CurveHandler(svc)))
-	mux.Handle("POST /v1/cell", gate.Wrap("cell", CellHandler(svc)))
-	mux.Handle("POST /v1/explore", gate.Wrap("explore", ExploreHandler(svc)))
-	// Diagnose speaks both verbs: POST carries the typed request, GET the
-	// same fields as query parameters (handy from a browser or curl).
-	mux.Handle("POST /v1/diagnose", gate.Wrap("diagnose", DiagnoseHandler(svc)))
-	mux.Handle("GET /v1/diagnose", gate.Wrap("diagnose", DiagnoseGetHandler(svc)))
-	// ?schemas=1 on the GET endpoints additionally returns each family's
-	// parameter schema (the spec grammar's keys, types, bounds, defaults).
-	mux.Handle("GET /v1/workloads", gate.Wrap("workloads", WorkloadsHandler(svc.List)))
-	mux.Handle("GET /v1/machines", gate.Wrap("machines", MachinesHandler(svc.List)))
+	for _, rt := range routes {
+		h := rt.handler(svc, t.RunCell)
+		if rt.policy == relayed && t.Relay != nil {
+			h = t.Relay(rt.path, h)
+		}
+		if rt.query != nil {
+			h = queryAsBody(rt.query, h)
+		}
+		mux.Handle(rt.method+" "+rt.path, g.wrap(rt.gate, h))
+	}
 	return mux
 }
 
-// PredictHandler is the bare (ungated) POST /v1/predict handler. The
-// coordinator reuses it as its local-fallback executor, so degraded-mode
-// responses stay byte-identical to single-process ones.
-func PredictHandler(svc *Service) http.Handler { return handleJSON(svc.Predict) }
-
-// CollectHandler is the bare POST /v1/collect handler.
-func CollectHandler(svc *Service) http.Handler { return handleJSON(svc.Collect) }
-
-// CurveHandler is the bare POST /v1/curve handler.
-func CurveHandler(svc *Service) http.Handler { return handleJSON(svc.Curve) }
-
-// CellHandler is the bare POST /v1/cell handler: one planned sweep cell,
-// the unit the coordinator routes to workers.
-func CellHandler(svc *Service) http.Handler { return handleJSON(svc.Cell) }
-
-// ExploreHandler is the bare POST /v1/explore handler.
-func ExploreHandler(svc *Service) http.Handler { return handleJSON(svc.Explore) }
-
-// NewExploreHandler serves POST /v1/explore over any explore implementation
-// — the Service's own, or the cluster coordinator's, whose responses are
-// therefore byte-identical by construction.
-func NewExploreHandler(explore func(context.Context, ExploreRequest) (*ExploreResponse, error)) http.Handler {
-	return handleJSON(explore)
+// serve adapts one typed Service method to a route handler.
+func serve[Req, Resp any](method func(*Service, context.Context, Req) (*Resp, error)) func(*Service, CellRunner) http.Handler {
+	return func(s *Service, _ CellRunner) http.Handler {
+		return handleJSON(func(ctx context.Context, req Req) (*Resp, error) { return method(s, ctx, req) })
+	}
 }
 
-// DiagnoseHandler is the bare POST /v1/diagnose handler.
-func DiagnoseHandler(svc *Service) http.Handler { return handleJSON(svc.Diagnose) }
-
-// DiagnoseGetHandler is the bare GET /v1/diagnose handler: the query
-// parameters build the same DiagnoseRequest the POST body carries, so both
-// verbs answer byte-identically.
-func DiagnoseGetHandler(svc *Service) http.Handler {
+// queryAsBody serves the GET spelling of a POST handler: the query builds
+// the same request the POST body carries (a bad query answers its error
+// directly), marshalled into that body, so both verbs answer
+// byte-identically through one handler — and, at a coordinator, one relay,
+// where they coalesce together and a worker only ever sees the POST form.
+func queryAsBody(parse func(url.Values) (any, error), post http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		req, err := DiagnoseRequestFromQuery(r.URL.Query())
+		req, err := parse(r.URL.Query())
 		if err != nil {
 			writeError(w, err)
 			return
 		}
-		resp, err := svc.Diagnose(r.Context(), req)
+		body, err := json.Marshal(req)
 		if err != nil {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		pr := r.Clone(r.Context())
+		pr.Method = http.MethodPost
+		pr.Body = io.NopCloser(bytes.NewReader(body))
+		post.ServeHTTP(w, pr)
 	})
 }
 
-// WorkloadsHandler is the bare GET /v1/workloads handler over any List
-// implementation (the coordinator passes its local service's List: registry
-// answers must not depend on the fleet).
-func WorkloadsHandler(list func(context.Context, ListRequest) (*ListResponse, error)) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		resp, err := list(r.Context(), ListRequest{Verbose: wantSchemas(r)})
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, WorkloadsResponse{
-			APIVersion: resp.APIVersion,
-			Workloads:  resp.Workloads,
-			Families:   resp.WorkloadFamilies,
+// registry serves one GET projection of the ListResponse; ?schemas=1
+// additionally returns each family's parameter schema (the spec grammar's
+// keys, types, bounds, defaults).
+func registry(project func(*ListResponse) any) func(*Service, CellRunner) http.Handler {
+	return func(s *Service, _ CellRunner) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			resp, err := s.List(r.Context(), ListRequest{Verbose: wantSchemas(r)})
+			if err != nil {
+				writeError(w, err)
+				return
+			}
+			writeJSON(w, http.StatusOK, project(resp))
 		})
-	})
-}
-
-// MachinesHandler is the bare GET /v1/machines handler; see WorkloadsHandler.
-func MachinesHandler(list func(context.Context, ListRequest) (*ListResponse, error)) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		resp, err := list(r.Context(), ListRequest{Verbose: wantSchemas(r)})
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, MachinesResponse{
-			APIVersion: resp.APIVersion,
-			Machines:   resp.Machines,
-			Families:   resp.MachineFamilies,
-		})
-	})
+	}
 }
 
 // wantSchemas reads the ?schemas= flag of the GET endpoints: explicit
@@ -352,19 +394,15 @@ func wantSchemas(r *http.Request) bool {
 	return true
 }
 
-// NewSweepHandler serves POST /v1/sweep over any sweep implementation — the
-// Service's own, or the coordinator's fleet fan-out, which therefore streams
-// byte-identical NDJSON by construction. Without a stream parameter it is
-// the plain buffered request/response exchange; with ?stream=ndjson it
-// streams one SweepStreamLine per finished cell — in deterministic plan
-// order, each flushed as it completes — plus a final summary line, so a
-// client watching a long sweep sees cells as they land instead of one
-// response at the end.
-func NewSweepHandler(
-	sweep func(context.Context, SweepRequest) (*SweepResponse, error),
-	stream func(context.Context, SweepRequest, func(SweepCell) error) (*SweepSummary, error),
-) http.Handler {
-	plain := handleJSON(sweep)
+// sweepHandler serves POST /v1/sweep. Without a stream parameter it is the
+// plain buffered request/response exchange; with ?stream=ndjson it streams
+// one SweepStreamLine per finished cell — in deterministic plan order, each
+// flushed as it completes — plus a final summary line, so a client watching
+// a long sweep sees cells as they land instead of one response at the end.
+func sweepHandler(s *Service, run CellRunner) http.Handler {
+	plain := handleJSON(func(ctx context.Context, req SweepRequest) (*SweepResponse, error) {
+		return s.sweep(ctx, req, run)
+	})
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Query().Get("stream") {
 		case "":
@@ -399,7 +437,7 @@ func NewSweepHandler(
 			}
 			return nil
 		}
-		sum, err := stream(r.Context(), req, func(c SweepCell) error {
+		sum, err := s.sweepStream(r.Context(), req, run, func(c SweepCell) error {
 			return writeLine(SweepStreamLine{Cell: &c})
 		})
 		if err != nil {
@@ -458,8 +496,8 @@ func handleJSON[Req any, Resp any](fn func(context.Context, Req) (*Resp, error))
 
 // WriteError maps service errors to status codes: the caller's fault → 400,
 // a dead client → 499 (nginx's convention for "client closed request"),
-// deadline → 504, everything else → 500. Exported for the coordinator,
-// whose error bodies must be byte-identical to a single process's.
+// deadline → 504, everything else → 500. Exported for the coordinator's
+// relay, whose error bodies must be byte-identical to a single process's.
 func WriteError(w http.ResponseWriter, err error) { writeError(w, err) }
 
 func writeError(w http.ResponseWriter, err error) {
@@ -475,11 +513,7 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, errorJSON{Error: err.Error()})
 }
 
-// WriteJSON writes v as the indented JSON body every endpoint answers with;
-// exported for the coordinator so its locally produced bodies (readiness,
-// registry answers) share the exact encoding.
-func WriteJSON(w http.ResponseWriter, status int, v any) { writeJSON(w, status, v) }
-
+// writeJSON writes v as the indented JSON body every endpoint answers with.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

@@ -2,7 +2,7 @@
 // that turns a SweepRequest into a deduplicated DAG of
 // (collect → fit → predict) steps.
 //
-// Decomposition: every matrix cell becomes one planCell carrying its
+// Decomposition: every matrix cell becomes one PlannedCell carrying its
 // series key (the collect step) and its artifact key (the fit+predict
 // step). Cells sharing a series key share one collection (the in-process
 // series memo is a singleflight), and cells sharing an artifact key share
@@ -47,10 +47,12 @@ func expandGrid(entry string) ([]string, error) {
 	return out, nil
 }
 
-// DefaultFitCacheSize bounds the fitted-model memo when Config.FitCacheSize
-// is zero. An artifact is a few fitted functions plus the evaluated curves
-// — small next to the series it came from — so the default comfortably
-// covers the full workload × machine preset matrix at several option sets.
+// DefaultFitCacheSize bounds the fitted-model memo (entries). An artifact
+// is a few fitted functions plus the evaluated curves — small next to the
+// series it came from — so the bound comfortably covers the full workload ×
+// machine preset matrix at several option sets. Evicted artifacts cost one
+// refit to restore (their measurement series stays in the store), so the
+// bound trades memory for refit work only.
 const DefaultFitCacheSize = 256
 
 // maxSweepCells bounds one sweep's workload × machine matrix. Grids make
@@ -59,24 +61,13 @@ const DefaultFitCacheSize = 256
 // is materialized.
 const maxSweepCells = 16384
 
-// fitEntry is one slot of the fitted-model memo. Like the series memo's
-// memoEntry, the computation runs detached from any single requester: the
-// entry is shared by every concurrent request for the same artifact, and
-// only the last waiter to give up cancels the work.
-type fitEntry struct {
-	// done is closed when the fit goroutine finishes; pred, seriesHit and
-	// err are immutable afterwards (happens-before via the close).
-	done chan struct{}
+// fitResult is one fitted-model memo value.
+type fitResult struct {
 	pred *core.Prediction
 	// seriesHit records whether the artifact's measurement series was
 	// replayed (store or memo) rather than simulated — the value every
 	// requester reports, so repeated requests answer identically.
 	seriesHit bool
-	err       error
-	// waiters and cancel are guarded by s.fitMu; the last waiter to abandon
-	// an unfinished fit cancels it.
-	waiters int
-	cancel  context.CancelFunc
 }
 
 // optionsFingerprint is the canonical form of every core.Options field that
@@ -135,7 +126,7 @@ func artifactKey(sk store.Key, targets []int, opt core.Options) string {
 // fitted-model memo (completed entries and collapsed in-flight duplicates
 // alike). Benchmarks and tests read the deltas around a sweep.
 func (s *Service) FitCacheStats() (computed, memoHits int64) {
-	return s.fitsComputed.Load(), s.fitMemoHits.Load()
+	return s.fits.Stats()
 }
 
 // Predicted is the planner's in-process entry point, shared by Predict,
@@ -151,9 +142,9 @@ func (s *Service) Predicted(ctx context.Context, w sim.Workload, m *machine.Conf
 }
 
 func (s *Service) predicted(ctx context.Context, w sim.Workload, m *machine.Config, measCores int, scale float64, targets []int, opt core.Options) (*core.Prediction, bool, error) {
-	if opt.Kernels != nil || s.fits == nil {
-		// Uncacheable options (or a disabled memo) still share the
-		// measurement layer and the service CPU gate.
+	if opt.Kernels != nil {
+		// Uncacheable options still share the measurement layer and the
+		// service CPU gate.
 		ser, hit, err := s.series(ctx, w, m, measCores, scale)
 		if err != nil {
 			return nil, hit, err
@@ -166,135 +157,122 @@ func (s *Service) predicted(ctx context.Context, w sim.Workload, m *machine.Conf
 		return nil, false, err
 	}
 	key := artifactKey(seriesKey(w.Name(), m.Name, measCores, scale), targets, opt)
-
-	s.fitMu.Lock()
-	ent, ok := s.fits.Get(key)
-	if !ok {
-		// Detach the fit from the requester: it must survive this caller's
-		// cancellation for any concurrent duplicate's sake.
-		cctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
-		ent = &fitEntry{done: make(chan struct{}), cancel: cancel}
-		s.fits.Put(key, ent)
-		s.evictFitsLocked()
-		hook := s.fitHook
-		go func() {
-			defer close(ent.done)
-			defer cancel()
-			s.fitsComputed.Add(1)
-			if hook != nil {
-				hook(key)
-			}
-			ser, hit, err := s.series(cctx, w, m, measCores, scale)
-			ent.seriesHit = hit
-			if err != nil {
-				ent.err = err
-				return
-			}
-			o := opt
-			o.Gate = s.sem
-			pl := core.NewPipeline(o)
-			art, err := pl.Fit(cctx, ser, targets)
-			if err != nil {
-				ent.err = err
-				return
-			}
-			ent.pred, ent.err = pl.Finish(cctx, art)
-		}()
-	} else {
-		s.fitMemoHits.Add(1)
+	if r, ok := s.fits.Get(key); ok {
+		return r.pred, r.seriesHit, nil
 	}
-	ent.waiters++
-	s.fitMu.Unlock()
-
-	select {
-	case <-ent.done:
-		s.fitMu.Lock()
-		ent.waiters--
-		if ent.err != nil {
-			// A failed fit must not poison the memo: drop the entry so the
-			// next request retries.
-			if cur, ok := s.fits.Peek(key); ok && cur == ent {
-				s.fits.Remove(key)
-			}
-		}
-		s.fitMu.Unlock()
-		return ent.pred, ent.seriesHit, ent.err
-	case <-ctx.Done():
-		s.fitMu.Lock()
-		ent.waiters--
-		if ent.waiters == 0 {
-			select {
-			case <-ent.done: // finished anyway; keep the artifact cached
-			default:
-				ent.cancel()
-				if cur, ok := s.fits.Peek(key); ok && cur == ent {
-					s.fits.Remove(key)
-				}
-			}
-		}
-		s.fitMu.Unlock()
-		return nil, false, ctx.Err()
-	}
+	r, err := s.fits.Do(ctx, key, func(ctx context.Context) (fitResult, error) {
+		return s.fit(ctx, key, w, m, measCores, scale, targets, opt)
+	})
+	return r.pred, r.seriesHit, err
 }
 
-// evictFitsLocked (called under s.fitMu) drops completed, waiter-less
-// artifacts in least-recently-used order until the memo is back under its
-// bound. In-flight fits and entries with waiters are never evicted; if only
-// those remain the memo temporarily exceeds the bound.
-func (s *Service) evictFitsLocked() {
-	for s.fits.Len() > s.fits.Cap() {
-		ok := s.fits.EvictOldest(func(e *fitEntry) bool {
-			select {
-			case <-e.done:
-				return e.waiters == 0
-			default:
-				return false
-			}
-		})
-		if !ok {
-			return
-		}
+// fit computes one fitted-model memo value: measure (or replay) the
+// series, fit every category, finish the prediction.
+func (s *Service) fit(ctx context.Context, key string, w sim.Workload, m *machine.Config, measCores int, scale float64, targets []int, opt core.Options) (fitResult, error) {
+	if s.fitHook != nil {
+		s.fitHook(key)
 	}
+	ser, hit, err := s.series(ctx, w, m, measCores, scale)
+	if err != nil {
+		return fitResult{seriesHit: hit}, err
+	}
+	opt.Gate = s.sem
+	pl := core.NewPipeline(opt)
+	art, err := pl.Fit(ctx, ser, targets)
+	if err != nil {
+		return fitResult{seriesHit: hit}, err
+	}
+	pred, err := pl.Finish(ctx, art)
+	return fitResult{pred, hit}, err
 }
 
-// planCell is one cell of a decomposed sweep: the collect step is its
-// series key, the fit+predict step its artifact key.
-type planCell struct {
-	workload  string
-	w         sim.Workload
-	mach      *machine.Config
-	measCores int
-	scale     float64
-	targets   []int
-	opt       core.Options
-	seriesID  store.Key
-	fitID     string
+// PlannedCell is one unit of a planned sweep or explore: the request that
+// executes it anywhere, plus its dedup identity.
+type PlannedCell struct {
+	// Request's workload and machine are canonical spec names; its
+	// MeasCores and Scale are resolved (never zero).
+	Request CellRequest
+	// FitKey identifies the cell's fit+predict step, so cells sharing one
+	// (overlapping grids, possibly from different clients) can share one
+	// execution.
+	FitKey string
+
+	w       sim.Workload
+	mach    *machine.Config
+	targets []int
 }
 
-// sweepPlan is a SweepRequest decomposed into deduplicated steps.
-type sweepPlan struct {
-	workloads    []string
-	machineNames []string
-	cells        []planCell
-	workers      int
-	// distinctSeries / distinctFits count the deduplicated collect and fit
+// PlannedSweep is a validated SweepRequest decomposed into deduplicated
+// steps: every cell in deterministic plan order (workload-major,
+// machine-minor — the order every response reproduces) plus the summary
+// counts the final record reports.
+type PlannedSweep struct {
+	Workloads []string
+	Machines  []string
+	Cells     []PlannedCell
+	Workers   int
+	// DistinctSeries / DistinctFits count the deduplicated collect and fit
 	// steps: cells beyond these counts ride along on a shared step.
-	distinctSeries int
-	distinctFits   int
+	DistinctSeries int
+	DistinctFits   int
 }
 
-// planSweep validates a SweepRequest and decomposes it into the cell DAG.
-// Validation order (version, bootstrap options, workloads, machines) is part
-// of the API surface: it decides which error a doubly bad request reports.
-func (s *Service) planSweep(req SweepRequest) (*sweepPlan, error) {
+// CellRunner executes one planned cell of a sweep or explore. Failures
+// land in the cell's Error, never in a return value: one pathological pair
+// must not sink the matrix. The service runs cells itself; a cluster
+// coordinator substitutes its fleet fan-out (see Tier).
+type CellRunner func(ctx context.Context, cell *PlannedCell) SweepCell
+
+// planCell resolves one cell of w on m at scale under the options req
+// carries (MeasCores 0 means one processor of m). FitKey is left to
+// PlanSweep: a lone cell needs no dedup identity.
+func planCell(w sim.Workload, m *machine.Config, scale float64, targets []int, req CellRequest) PlannedCell {
+	measCores := req.MeasCores
+	if measCores <= 0 {
+		measCores = m.OneProcessorCores()
+	}
+	return PlannedCell{
+		Request: CellRequest{Workload: w.Name(), Machine: m.Name, MeasCores: measCores, Scale: scale,
+			Soft: req.Soft, Bootstrap: req.Bootstrap, CILevel: req.CILevel, Seed: req.Seed},
+		w:       w,
+		mach:    m,
+		targets: targets,
+	}
+}
+
+// checkBootstrap validates the bootstrap options sweeps and cells share.
+func checkBootstrap(bootstrap int, ciLevel float64) error {
+	if bootstrap < 0 {
+		return badRequest("negative bootstrap count %d", bootstrap)
+	}
+	if ciLevel != 0 && (ciLevel <= 0 || ciLevel >= 100) {
+		return badRequest("confidence level %g%% outside (0, 100)", ciLevel)
+	}
+	return nil
+}
+
+// cellOptions are the pipeline options of one cell. Workers: 1 —
+// parallelism lives at the cell level; letting every concurrent cell open
+// its own NumCPU-wide fitting pool would oversubscribe the machine by
+// workers × NumCPU. The service gate additionally bounds total fitting work
+// across in-flight requests.
+func cellOptions(req CellRequest) core.Options {
+	return core.Options{UseSoftware: req.Soft, Bootstrap: req.Bootstrap,
+		CILevel: req.CILevel, Seed: req.Seed, Workers: 1}
+}
+
+// PlanSweep validates a SweepRequest and decomposes it into the cell DAG
+// without executing it. Validation order (version, bootstrap options,
+// workloads, machines) is part of the API surface: it decides which error a
+// doubly bad request reports. Identical validation and identical plan order
+// are what make coordinator responses byte-identical to single-process
+// ones.
+func (s *Service) PlanSweep(req SweepRequest) (*PlannedSweep, error) {
 	if err := checkVersion(req.APIVersion); err != nil {
 		return nil, err
 	}
-	if req.Bootstrap < 0 {
-		return nil, badRequest("negative bootstrap count %d", req.Bootstrap)
-	}
-	if req.CILevel != 0 && (req.CILevel <= 0 || req.CILevel >= 100) {
-		return nil, badRequest("confidence level %g%% outside (0, 100)", req.CILevel)
+	if err := checkBootstrap(req.Bootstrap, req.CILevel); err != nil {
+		return nil, err
 	}
 	// Sweeps accept value grids: each requested workload or machine entry
 	// is a spec whose repeated keys expand into one instance per
@@ -374,62 +352,40 @@ func (s *Service) planSweep(req SweepRequest) (*sweepPlan, error) {
 			len(wls)*len(machs), len(wls), len(machs), maxSweepCells)
 	}
 
-	plan := &sweepPlan{workloads: wls}
+	plan := &PlannedSweep{Workloads: wls}
 	// One targets slice per machine, shared by that machine's whole column.
 	machTargets := make([][]int, len(machs))
 	for mi, m := range machs {
-		plan.machineNames = append(plan.machineNames, m.Name)
+		plan.Machines = append(plan.Machines, m.Name)
 		machTargets[mi] = sim.CoreRange(m.NumCores())
 	}
+	opts := CellRequest{MeasCores: req.MeasCores, Soft: req.Soft, Bootstrap: req.Bootstrap,
+		CILevel: req.CILevel, Seed: req.Seed}
 	seriesSeen := map[store.Key]bool{}
 	fitSeen := map[string]bool{}
 	for wi, wl := range wls {
 		for mi, m := range machs {
-			measCores := req.MeasCores
-			if measCores <= 0 {
-				measCores = m.OneProcessorCores()
+			cell := planCell(ws[wi], m, scale, machTargets[mi], opts)
+			sk := seriesKey(wl, m.Name, cell.Request.MeasCores, scale)
+			cell.FitKey = artifactKey(sk, cell.targets, cellOptions(opts))
+			if !seriesSeen[sk] {
+				seriesSeen[sk] = true
+				plan.DistinctSeries++
 			}
-			// Workers: 1 — parallelism lives at the cell level; letting every
-			// concurrent cell open its own NumCPU-wide fitting pool would
-			// oversubscribe the machine by workers × NumCPU. The service gate
-			// additionally bounds total fitting work across in-flight
-			// requests.
-			cell := planCell{
-				workload:  wl,
-				w:         ws[wi],
-				mach:      m,
-				measCores: measCores,
-				scale:     scale,
-				targets:   machTargets[mi],
-				opt: core.Options{
-					UseSoftware: req.Soft,
-					Bootstrap:   req.Bootstrap,
-					CILevel:     req.CILevel,
-					Seed:        req.Seed,
-					Workers:     1,
-				},
+			if !fitSeen[cell.FitKey] {
+				fitSeen[cell.FitKey] = true
+				plan.DistinctFits++
 			}
-			cell.seriesID = seriesKey(wl, m.Name, measCores, scale)
-			cell.fitID = artifactKey(cell.seriesID, cell.targets, cell.opt)
-			if !seriesSeen[cell.seriesID] {
-				seriesSeen[cell.seriesID] = true
-				plan.distinctSeries++
-			}
-			if !fitSeen[cell.fitID] {
-				fitSeen[cell.fitID] = true
-				plan.distinctFits++
-			}
-			plan.cells = append(plan.cells, cell)
+			plan.Cells = append(plan.Cells, cell)
 		}
 	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.cfg.Workers
+	plan.Workers = req.Workers
+	if plan.Workers <= 0 {
+		plan.Workers = s.cfg.Workers
 	}
-	if workers > len(plan.cells) {
-		workers = len(plan.cells)
+	if plan.Workers > len(plan.Cells) {
+		plan.Workers = len(plan.Cells)
 	}
-	plan.workers = workers
 	return plan, nil
 }
 
@@ -446,122 +402,40 @@ func RouteKey(workload, machine string) string {
 	return workload + "\x00" + machine
 }
 
-// PlannedCell is one routable unit of a planned sweep: the resolved cell
-// coordinates plus its routing and dedup identities.
-type PlannedCell struct {
-	// Workload and Machine are canonical spec names; MeasCores and Scale are
-	// resolved (never zero).
-	Workload  string
-	Machine   string
-	MeasCores int
-	Scale     float64
-	// RouteKey shards the cell onto a worker; FitKey identifies its
-	// fit+predict step, so cells sharing one (overlapping grids, possibly
-	// from different clients) can share one execution.
-	RouteKey string
-	FitKey   string
-}
-
-// PlannedSweep is the coordinator's view of a validated, decomposed
-// SweepRequest: every cell in deterministic plan order (workload-major,
-// machine-minor — the order the merged stream must reproduce) plus the
-// summary counts the final record reports.
-type PlannedSweep struct {
-	Workloads      []string
-	Machines       []string
-	Cells          []PlannedCell
-	Workers        int
-	DistinctSeries int
-	DistinctFits   int
-}
-
-// PlanSweep validates and decomposes a SweepRequest without executing it —
-// the cluster coordinator plans locally, routes each cell to the worker
-// owning its RouteKey, and merges. Identical validation and identical plan
-// order are what make coordinator responses byte-identical to
-// single-process ones.
-func (s *Service) PlanSweep(req SweepRequest) (*PlannedSweep, error) {
-	plan, err := s.planSweep(req)
-	if err != nil {
-		return nil, err
-	}
-	out := &PlannedSweep{
-		Workloads:      plan.workloads,
-		Machines:       plan.machineNames,
-		Cells:          make([]PlannedCell, len(plan.cells)),
-		Workers:        plan.workers,
-		DistinctSeries: plan.distinctSeries,
-		DistinctFits:   plan.distinctFits,
-	}
-	for i, pc := range plan.cells {
-		out.Cells[i] = PlannedCell{
-			Workload:  pc.workload,
-			Machine:   pc.mach.Name,
-			MeasCores: pc.measCores,
-			Scale:     pc.scale,
-			RouteKey:  RouteKey(pc.workload, pc.mach.Name),
-			FitKey:    pc.fitID,
-		}
-	}
-	return out, nil
-}
-
 // Cell answers a CellRequest: exactly one sweep cell, executed through the
 // same planner path as a cell inside a sweep, so the resulting SweepCell is
 // byte-identical to the one a single-process sweep would emit. Validation
-// mirrors planSweep's option checks; execution failures are recorded in the
+// mirrors PlanSweep's option checks; execution failures are recorded in the
 // cell, not returned (the coordinator merges them into streams).
 func (s *Service) Cell(ctx context.Context, req CellRequest) (*CellResponse, error) {
 	if err := checkVersion(req.APIVersion); err != nil {
 		return nil, err
 	}
-	if req.Bootstrap < 0 {
-		return nil, badRequest("negative bootstrap count %d", req.Bootstrap)
-	}
-	if req.CILevel != 0 && (req.CILevel <= 0 || req.CILevel >= 100) {
-		return nil, badRequest("confidence level %g%% outside (0, 100)", req.CILevel)
+	if err := checkBootstrap(req.Bootstrap, req.CILevel); err != nil {
+		return nil, err
 	}
 	w, m, err := resolve(req.Workload, req.Machine)
 	if err != nil {
 		return nil, err
 	}
-	measCores := req.MeasCores
-	if measCores <= 0 {
-		measCores = m.OneProcessorCores()
-	}
-	pc := planCell{
-		workload:  w.Name(),
-		w:         w,
-		mach:      m,
-		measCores: measCores,
-		scale:     defaultScale(req.Scale),
-		targets:   sim.CoreRange(m.NumCores()),
-		opt: core.Options{
-			UseSoftware: req.Soft,
-			Bootstrap:   req.Bootstrap,
-			CILevel:     req.CILevel,
-			Seed:        req.Seed,
-			Workers:     1,
-		},
-	}
-	cell := s.runPlanCell(ctx, pc)
+	pc := planCell(w, m, defaultScale(req.Scale), sim.CoreRange(m.NumCores()), req)
+	cell := s.runCell(ctx, &pc)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return &CellResponse{APIVersion: APIVersion, Cell: cell}, nil
 }
 
-// runPlanCell executes one cell through the planner. Failures are recorded
-// in the cell, never propagated: one pathological pair must not sink the
-// matrix.
-func (s *Service) runPlanCell(ctx context.Context, pc planCell) SweepCell {
+// runCell is the service's own CellRunner: one cell through the planner.
+func (s *Service) runCell(ctx context.Context, pc *PlannedCell) SweepCell {
+	r := &pc.Request
 	cell := SweepCell{
-		Workload:    pc.workload,
-		Machine:     pc.mach.Name,
-		MeasCores:   pc.measCores,
+		Workload:    r.Workload,
+		Machine:     r.Machine,
+		MeasCores:   r.MeasCores,
 		TargetCores: pc.mach.NumCores(),
 	}
-	pred, hit, err := s.predicted(ctx, pc.w, pc.mach, pc.measCores, pc.scale, pc.targets, pc.opt)
+	pred, hit, err := s.predicted(ctx, pc.w, pc.mach, r.MeasCores, r.Scale, pc.targets, cellOptions(*r))
 	cell.CacheHit = hit
 	if err != nil {
 		cell.Error = err.Error()
@@ -584,11 +458,16 @@ func (s *Service) runPlanCell(ctx context.Context, pc planCell) SweepCell {
 // sweep and is returned. Sweep is this method buffered; the HTTP layer
 // streams it as NDJSON and the CLI as `-format ndjson`.
 func (s *Service) SweepStream(ctx context.Context, req SweepRequest, emit func(SweepCell) error) (*SweepSummary, error) {
-	plan, err := s.planSweep(req)
+	return s.sweepStream(ctx, req, s.runCell, emit)
+}
+
+// sweepStream is SweepStream with each cell executed by run.
+func (s *Service) sweepStream(ctx context.Context, req SweepRequest, run CellRunner, emit func(SweepCell) error) (*SweepSummary, error) {
+	plan, err := s.PlanSweep(req)
 	if err != nil {
 		return nil, err
 	}
-	n := len(plan.cells)
+	n := len(plan.Cells)
 	cells := make([]SweepCell, n)
 	done := make([]chan struct{}, n)
 	for i := range done {
@@ -601,19 +480,19 @@ func (s *Service) SweepStream(ctx context.Context, req SweepRequest, emit func(S
 	defer cancel()
 	next := make(chan int)
 	var wg sync.WaitGroup
-	for i := 0; i < plan.workers; i++ {
+	for i := 0; i < plan.Workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for idx := range next {
-				cells[idx] = s.runPlanCell(cctx, plan.cells[idx])
+				cells[idx] = run(cctx, &plan.Cells[idx])
 				close(done[idx])
 			}
 		}()
 	}
 	go func() {
 		defer close(next)
-		for idx := range plan.cells {
+		for idx := range plan.Cells {
 			select {
 			case next <- idx:
 			case <-cctx.Done():
@@ -642,11 +521,11 @@ func (s *Service) SweepStream(ctx context.Context, req SweepRequest, emit func(S
 
 	sum := &SweepSummary{
 		APIVersion:     APIVersion,
-		Workloads:      plan.workloads,
-		Machines:       plan.machineNames,
+		Workloads:      plan.Workloads,
+		Machines:       plan.Machines,
 		Cells:          n,
-		DistinctSeries: plan.distinctSeries,
-		DistinctFits:   plan.distinctFits,
+		DistinctSeries: plan.DistinctSeries,
+		DistinctFits:   plan.DistinctFits,
 	}
 	for _, c := range cells {
 		if c.Error != "" {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/counters"
+	"repro/internal/flight"
 	"repro/internal/machine"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -152,7 +153,8 @@ func TestPredictSharesArtifactsWithSweep(t *testing.T) {
 // not from a fresh simulation.
 func TestFitCacheEvictionRefits(t *testing.T) {
 	var sims atomic.Int64
-	svc := newTestService(t, Config{FitCacheSize: 1, CollectSample: countingCollector(&sims)})
+	svc := newTestService(t, Config{CollectSample: countingCollector(&sims)})
+	svc.fits = flight.New[string, fitResult](1)
 	var fits atomic.Int64
 	svc.fitHook = func(string) { fits.Add(1) }
 	predict := func(workload string) {
@@ -177,24 +179,38 @@ func TestFitCacheEvictionRefits(t *testing.T) {
 	}
 }
 
-// TestNegativeFitCacheSizeDisablesMemo pins the escape hatch: every
-// prediction refits, exactly like the pre-planner service.
-func TestNegativeFitCacheSizeDisablesMemo(t *testing.T) {
-	svc := newTestService(t, Config{FitCacheSize: -1})
-	req := PredictRequest{Workload: "intruder", Machine: "Haswell", Scale: 0.05}
-	first, err := svc.Predict(bg, req)
-	if err != nil {
-		t.Fatal(err)
+// TestLRUCacheRecencyAndEviction: the series memo evicts the least
+// recently used series first. With room for two, re-reading the oldest
+// protects it, so the next new series evicts the other one.
+func TestLRUCacheRecencyAndEviction(t *testing.T) {
+	var sims atomic.Int64
+	svc := newTestService(t, Config{CollectSample: countingCollector(&sims)})
+	svc.memo = flight.New[store.Key, memoSeries](2)
+	read := func(workload string) {
+		t.Helper()
+		w, m, err := resolve(workload, "Haswell")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := svc.Series(bg, w, m, 1, 0.05); err != nil {
+			t.Fatal(err)
+		}
 	}
-	second, err := svc.Predict(bg, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if computed, hits := svc.FitCacheStats(); computed != 0 || hits != 0 {
-		t.Errorf("disabled memo recorded %d computed / %d hits", computed, hits)
-	}
-	if !reflect.DeepEqual(first.Time, second.Time) {
-		t.Error("memo-less predictions must still be deterministic")
+	for _, step := range []struct {
+		workload string
+		sims     int64
+	}{
+		{"intruder", 1},
+		{"genome", 2},
+		{"intruder", 2}, // a hit, and now the most recently used
+		{"kmeans", 3},   // evicts genome
+		{"intruder", 3},
+		{"genome", 4},
+	} {
+		read(step.workload)
+		if got := sims.Load(); got != step.sims {
+			t.Fatalf("after reading %s: %d simulations, want %d", step.workload, got, step.sims)
+		}
 	}
 }
 

@@ -166,8 +166,13 @@ func (s *Service) Predict(ctx context.Context, req PredictRequest) (*PredictResp
 // index, so the response order is the deterministic workload × machine
 // order, not completion order. Sweep is SweepStream buffered.
 func (s *Service) Sweep(ctx context.Context, req SweepRequest) (*SweepResponse, error) {
+	return s.sweep(ctx, req, s.runCell)
+}
+
+// sweep is Sweep with each cell executed by run.
+func (s *Service) sweep(ctx context.Context, req SweepRequest, run CellRunner) (*SweepResponse, error) {
 	var cells []SweepCell
-	sum, err := s.SweepStream(ctx, req, func(c SweepCell) error {
+	sum, err := s.sweepStream(ctx, req, run, func(c SweepCell) error {
 		cells = append(cells, c)
 		return nil
 	})

@@ -4,9 +4,9 @@ import (
 	"context"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/counters"
+	"repro/internal/flight"
 	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -29,12 +29,6 @@ type Config struct {
 	// stub it; a future perf-based backend plugs in here). nil means
 	// sim.Collect.
 	CollectSample func(w sim.Workload, m *machine.Config, cores int, scale float64) (counters.Sample, error)
-	// FitCacheSize bounds the sweep planner's fitted-model memo (entries).
-	// 0 means DefaultFitCacheSize; a negative size disables the memo
-	// entirely (every prediction refits, as before the planner). Evicted
-	// artifacts cost one refit to restore — their measurement series stays
-	// in the store — so the bound trades memory for refit work only.
-	FitCacheSize int
 }
 
 // Service executes every versioned API request through one code path:
@@ -47,37 +41,22 @@ type Service struct {
 	store *store.Store
 	sem   chan struct{}
 
-	mu   sync.Mutex
-	memo map[store.Key]*memoEntry
-
-	// fitMu guards the sweep planner's fitted-model memo (nil when
-	// disabled); see planner.go.
-	fitMu sync.Mutex
-	fits  *lruCache[*fitEntry]
-	// fitsComputed counts fit computations actually run; fitMemoHits counts
-	// requests answered from the memo instead.
-	fitsComputed atomic.Int64
-	fitMemoHits  atomic.Int64
+	// memo shares in-flight collections and keeps completed series for
+	// repeat requests; persistence is the store's job, so it is bounded.
+	memo *flight.Group[store.Key, memoSeries]
+	// fits is the sweep planner's fitted-model memo; see planner.go.
+	fits *flight.Group[string, fitResult]
 	// fitHook, when set (by tests, before first use), observes every fit
 	// computation as it starts.
 	fitHook func(artifactKey string)
 }
 
-// memoEntry is the in-process collection slot for one series key.
-// Concurrent requests share one simulation: the collection runs detached
-// from any single requester's context (so one client's disconnect cannot
-// fail the others) and is cancelled only when every waiter has given up.
-type memoEntry struct {
-	// done is closed when the collection goroutine finishes; series, hit
-	// and err are immutable afterwards (happens-before via the close).
-	done   chan struct{}
+// memoSeries is one series memo value: the series, and whether it was
+// replayed (from the store or a longer memoized series) rather than
+// simulated.
+type memoSeries struct {
 	series *counters.Series
 	hit    bool
-	err    error
-	// waiters and cancel are guarded by the service mutex: the last waiter
-	// to abandon an unfinished collection cancels it.
-	waiters int
-	cancel  context.CancelFunc
 }
 
 // New builds a Service. A CacheDir that cannot be created or opened is an
@@ -95,14 +74,8 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:  cfg,
 		sem:  make(chan struct{}, cfg.Workers),
-		memo: map[store.Key]*memoEntry{},
-	}
-	if cfg.FitCacheSize >= 0 {
-		size := cfg.FitCacheSize
-		if size == 0 {
-			size = DefaultFitCacheSize
-		}
-		s.fits = newLRUCache[*fitEntry](size)
+		memo: flight.New[store.Key, memoSeries](memoLimit),
+		fits: flight.New[string, fitResult](DefaultFitCacheSize),
 	}
 	if cfg.CacheDir != "" {
 		st, err := store.Open(cfg.CacheDir)
@@ -144,129 +117,65 @@ func seriesKey(workload, mach string, maxCores int, scale float64) store.Key {
 // series measures workload on machine over the contiguous 1..maxCores
 // schedule at the given effective scale: memoized in process (concurrent
 // requests share one simulation), persisted through the store when one is
-// configured. hit reports a store replay. Cancelling ctx detaches this
-// caller; the shared collection itself is cancelled only once no caller is
-// left waiting on it, so one client's disconnect never fails another's
-// request.
+// configured. hit reports a replay rather than a simulation. Cancelling ctx
+// detaches this caller; the shared collection itself is cancelled only once
+// no caller is left waiting on it, so one client's disconnect never fails
+// another's request.
 func (s *Service) series(ctx context.Context, w sim.Workload, m *machine.Config, maxCores int, scale float64) (*counters.Series, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
 	key := seriesKey(w.Name(), m.Name, maxCores, scale)
-	s.mu.Lock()
-	ent, ok := s.memo[key]
-	if !ok {
-		s.evictLocked()
-		// Collection dedup, prefix case: a completed 1..N entry (N > K) of
-		// the same input contains this 1..K schedule — every sample is
-		// collected independently, so windowing it is byte-identical to
-		// collecting afresh. The derived entry inherits the parent's hit
-		// flag, exactly what a caller joining the parent would have seen.
-		// A parent that cannot actually be windowed (a corrupted store file
-		// can load fewer samples than its key claims) falls through to
-		// collection instead of memoizing a broken entry.
-		if parent := s.prefixLocked(key); parent != nil {
-			if win := windowSeries(parent.series, maxCores); win != nil {
-				ent = &memoEntry{done: closedChan, series: win, hit: parent.hit}
-				s.memo[key] = ent
-				s.mu.Unlock()
-				go s.store.Put(key, win) // best-effort, off the lock
-				return win, ent.hit, nil
-			}
-		}
-		// Detach the collection from the requester: it must survive this
-		// caller's cancellation for the other waiters' sake.
-		cctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
-		ent = &memoEntry{done: make(chan struct{}), cancel: cancel}
-		s.memo[key] = ent
-		go func() {
-			defer close(ent.done)
-			defer cancel()
-			if cached, ok := s.store.Get(cctx, key); ok {
-				ent.series, ent.hit = cached, true
-				return
-			}
-			// The store may hold a longer series of the same input whose
-			// prefix is this schedule; windowing it replays measurements
-			// exactly like an exact hit would.
-			if parent, ok := s.store.FindPrefix(cctx, key); ok {
-				if win := windowSeries(parent, maxCores); win != nil {
-					ent.series, ent.hit = win, true
-					s.store.Put(key, win)
-					return
-				}
-			}
-			ent.series, ent.err = s.collect(cctx, w, m, sim.CoreRange(maxCores), scale)
-			if ent.err == nil {
-				s.store.Put(key, ent.series) // best-effort; a bad cache dir must not fail runs
-			}
-		}()
+	if v, ok := s.memo.Get(key); ok {
+		return v.series, v.hit, nil
 	}
-	ent.waiters++
-	s.mu.Unlock()
-
-	select {
-	case <-ent.done:
-		s.mu.Lock()
-		ent.waiters--
-		if ent.err != nil && s.memo[key] == ent {
-			// A failed collection must not poison the memo for later
-			// requests: drop the entry so the next caller retries.
-			delete(s.memo, key)
-		}
-		s.mu.Unlock()
-		return ent.series, ent.hit, ent.err
-	case <-ctx.Done():
-		s.mu.Lock()
-		ent.waiters--
-		if ent.waiters == 0 {
-			select {
-			case <-ent.done: // finished anyway; keep the result cached
-			default:
-				ent.cancel()
-				if s.memo[key] == ent {
-					delete(s.memo, key)
-				}
-			}
-		}
-		s.mu.Unlock()
-		return nil, false, ctx.Err()
-	}
+	v, err := s.memo.Do(ctx, key, func(ctx context.Context) (memoSeries, error) {
+		return s.measure(ctx, key, w, m, scale)
+	})
+	return v.series, v.hit, err
 }
 
-// closedChan is the pre-closed done channel of memo entries that are born
-// completed (prefix-derived series need no collection goroutine).
-var closedChan = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
-
-// prefixLocked (called under s.mu) returns a completed, error-free memo
-// entry whose series contains key's 1..MaxCores schedule as a prefix, or
-// nil. Among several candidates the shortest wins, so the derived series —
-// and its inherited hit flag — never depend on map iteration order.
-func (s *Service) prefixLocked(key store.Key) *memoEntry {
-	var best *memoEntry
-	bestCores := 0
-	for k, ent := range s.memo {
-		if k.Workload != key.Workload || k.Machine != key.Machine ||
-			k.Scale != key.Scale || k.Engine != key.Engine || k.MaxCores <= key.MaxCores {
-			continue
-		}
-		select {
-		case <-ent.done:
-		default:
-			continue // still collecting
-		}
-		if ent.err != nil || ent.series == nil {
-			continue
-		}
-		if best == nil || k.MaxCores < bestCores {
-			best, bestCores = ent, k.MaxCores
+// measure produces the series memo value for key: windowed from a longer
+// memoized or stored series of the same input when one exists, else
+// simulated and stored.
+func (s *Service) measure(ctx context.Context, key store.Key, w sim.Workload, m *machine.Config, scale float64) (memoSeries, error) {
+	// Every sample is collected independently, so the 1..K prefix of a
+	// 1..N series (N > K) is byte-identical to collecting 1..K afresh. A
+	// series windowed from the memo inherits its parent's hit flag, exactly
+	// what a caller joining the parent would have seen.
+	if win, hit := s.memoPrefix(key, m.NumCores()); win != nil {
+		go s.store.Put(key, win) // best-effort, off the waiters' path
+		return memoSeries{win, hit}, nil
+	}
+	if cached, ok := s.store.Get(ctx, key); ok {
+		return memoSeries{cached, true}, nil
+	}
+	if parent, ok := s.store.FindPrefix(ctx, key); ok {
+		if win := windowSeries(parent, key.MaxCores); win != nil {
+			s.store.Put(key, win)
+			return memoSeries{win, true}, nil
 		}
 	}
-	return best
+	ser, err := s.collect(ctx, w, m, sim.CoreRange(key.MaxCores), scale)
+	if err == nil {
+		s.store.Put(key, ser) // best-effort; a bad cache dir must not fail runs
+	}
+	return memoSeries{series: ser}, err
+}
+
+// memoPrefix windows key's schedule out of the shortest memoized series of
+// the same input that is longer than it, reporting that series' hit flag;
+// nil when there is none, or when it cannot actually be windowed (a
+// corrupted store file can load fewer samples than its key claims). No
+// series is longer than its machine, so the search stops at maxCores.
+func (s *Service) memoPrefix(key store.Key, maxCores int) (*counters.Series, bool) {
+	for k := key; k.MaxCores < maxCores; {
+		k.MaxCores++
+		if v, ok := s.memo.Get(k); ok {
+			return windowSeries(v.series, key.MaxCores), v.hit
+		}
+	}
+	return nil, false
 }
 
 // windowSeries returns the 1..maxCores prefix of a longer series as a new
@@ -290,34 +199,12 @@ func windowSeries(parent *counters.Series, maxCores int) *counters.Series {
 	}
 }
 
-// memoLimit bounds how many completed series the in-process memo retains.
-// The memo exists to share in-flight collections and give repeat requests a
-// pointer-stable fast path; long-term persistence is the disk store's job,
-// so a long-running daemon must not grow without bound as clients vary the
-// (workload, machine, cores, scale) tuple.
+// memoLimit bounds the series memo (entries). The memo exists to share
+// in-flight collections and give repeat requests a pointer-stable fast
+// path; long-term persistence is the disk store's job, so a long-running
+// daemon must not grow without bound as clients vary the (workload,
+// machine, cores, scale) tuple. Least recently used series go first.
 const memoLimit = 256
-
-// evictLocked (serviced under s.mu) drops completed, waiter-less memo
-// entries until the map is under memoLimit; in-flight entries are never
-// evicted. Eviction order is map order — effectively random, which is fine
-// for a safety bound.
-func (s *Service) evictLocked() {
-	if len(s.memo) < memoLimit {
-		return
-	}
-	for k, ent := range s.memo {
-		select {
-		case <-ent.done:
-			if ent.waiters == 0 {
-				delete(s.memo, k)
-			}
-		default: // still collecting
-		}
-		if len(s.memo) < memoLimit {
-			return
-		}
-	}
-}
 
 // collect runs one measurement per core count across the service-wide
 // simulation semaphore. Samples land at their schedule index, so the

@@ -177,7 +177,7 @@ func TestSweepGridVariants(t *testing.T) {
 // cell instead of inflating the matrix with duplicates.
 func TestSweepGridDedupesEquivalentValues(t *testing.T) {
 	svc := newTestService(t, Config{})
-	plan, err := svc.planSweep(SweepRequest{
+	plan, err := svc.PlanSweep(SweepRequest{
 		Workloads: []string{"intruder?batch=2,batch=2.0,batch=4"},
 		Machines:  []string{"Haswell?cores=2,cores=2"},
 		Scale:     0.05,
@@ -185,9 +185,9 @@ func TestSweepGridDedupesEquivalentValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.workloads) != 2 || len(plan.machineNames) != 1 || len(plan.cells) != 2 {
+	if len(plan.Workloads) != 2 || len(plan.Machines) != 1 || len(plan.Cells) != 2 {
 		t.Errorf("plan = %v x %v (%d cells), want 2 workloads x 1 machine",
-			plan.workloads, plan.machineNames, len(plan.cells))
+			plan.Workloads, plan.Machines, len(plan.Cells))
 	}
 }
 
