@@ -26,7 +26,7 @@ func cmdExplore(ctx context.Context, args []string) error {
 	budget := fs.Int("budget", 0, "simulation budget in cells (default: half the region, rounded up)")
 	targetBand := fs.Float64("band", 0, "target relative band width in percent (default 10)")
 	roundSize := fs.Int("round", 0, "cells simulated per refinement round (default 4)")
-	boot := fs.Int("boot", 0, "residual-bootstrap resamples per cell (default 25; bands are the acquisition signal, so 0 keeps the default)")
+	boot := fs.Int("boot", 0, "residual-bootstrap resamples per cell (default 25, at most 10000; bands are the acquisition signal, so 0 keeps the default)")
 	ci := fs.Float64("ci", 0, "two-sided confidence level (%) of the bands (default 90)")
 	seed := fs.Int64("seed", 0, "bootstrap seed (0 = default stream)")
 	workers := fs.Int("workers", 0, "parallel cells per round (default: NumCPU)")

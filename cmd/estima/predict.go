@@ -33,7 +33,7 @@ func cmdPredict(ctx context.Context, args []string) error {
 	dataScale := fs.Float64("datascale", 1, "weak-scaling dataset factor for the target")
 	scale := fs.Float64("scale", 1, "dataset scale of the runs")
 	compare := fs.Bool("compare", true, "also measure the target machine and report errors")
-	boot := fs.Int("boot", 0, "residual-bootstrap resamples for confidence bands (0 = off)")
+	boot := fs.Int("boot", 0, "residual-bootstrap resamples for confidence bands (0 = off, at most 10000)")
 	ci := fs.Float64("ci", core.DefaultCILevel, "two-sided confidence level (%) of the -boot bands")
 	cacheDir := fs.String("cache", "", "measurement store directory, reused across runs")
 	if err := parseFlags(fs, args); err != nil {

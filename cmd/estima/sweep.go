@@ -29,7 +29,7 @@ func cmdSweep(ctx context.Context, args []string) error {
 	workers := fs.Int("workers", 0, "worker pool size (default: NumCPU)")
 	format := fs.String("format", "table", "output format: table, csv, json or ndjson (streamed)")
 	cacheDir := fs.String("cache", "", "measurement store directory, reused across runs")
-	boot := fs.Int("boot", 0, "residual-bootstrap resamples for confidence bands (0 = off)")
+	boot := fs.Int("boot", 0, "residual-bootstrap resamples for confidence bands (0 = off, at most 10000)")
 	ci := fs.Float64("ci", core.DefaultCILevel, "two-sided confidence level (%) of the -boot bands")
 	if err := parseFlags(fs, args); err != nil {
 		return err

@@ -246,6 +246,8 @@ func TestValidationBytesMatchSingleProcess(t *testing.T) {
 		{"unknown field", "/v1/predict", `{"wrkload":"intruder"}`, http.StatusBadRequest},
 		{"bad version", "/v1/collect", `{"api_version":"v9","workload":"intruder","machine":"Haswell"}`, http.StatusBadRequest},
 		{"bad cell options", "/v1/cell", `{"workload":"intruder","machine":"Haswell","bootstrap":-1}`, http.StatusBadRequest},
+		{"cell bootstrap above limit", "/v1/cell", `{"workload":"intruder","machine":"Haswell","bootstrap":400000000}`, http.StatusBadRequest},
+		{"predict bootstrap above limit", "/v1/predict", `{"workload":"intruder","machine":"Haswell","scale":0.05,"bootstrap":400000000}`, http.StatusBadRequest},
 		{"diagnose unknown workload", "/v1/diagnose", `{"workload":"intrudr","machine":"Haswell"}`, http.StatusBadRequest},
 		{"diagnose bad checkpoints", "/v1/diagnose", `{"workload":"intruder","machine":"Haswell","checkpoints":-2}`, http.StatusBadRequest},
 	}

@@ -66,3 +66,21 @@ func BenchmarkPredictBootstrap200(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkReplayBootstrap is the fit-dominated offline workflow: the
+// Table-4 apps' one-processor Xeon20 windows (TestReplayFitHashes' windows)
+// replayed with 100 bootstrap replicates each, so every op runs the kernel
+// × prefix search and the bootstrap refits on real measurements, with no
+// simulation. One op is all 19 predictions.
+func BenchmarkReplayBootstrap(b *testing.B) {
+	windows := replayWindows(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, w := range windows {
+			if _, err := Predict(w.series, w.targets, Options{Bootstrap: replayBootstrap}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

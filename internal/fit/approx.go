@@ -263,16 +263,19 @@ func fitOneSeeded(kern *Kernel, xs, ys, seed []float64) *Fit {
 	if len(starts) == 0 {
 		return nil
 	}
+	// One workspace serves every start; the winning parameters are copied
+	// out of it, since the next start's solve overwrites them.
+	var ws workspace
 	var bestP []float64
 	bestChi := math.Inf(1)
 	for _, s := range starts {
 		if len(s) != kern.NParams {
 			continue
 		}
-		p, chi := LevenbergMarquardt(kern.Eval, xs, norm, s)
+		p, chi := ws.levenbergMarquardt(kern.Eval, xs, norm, s)
 		if chi < bestChi {
 			bestChi = chi
-			bestP = p
+			bestP = append(bestP[:0], p...)
 		}
 	}
 	if bestP == nil || math.IsInf(bestChi, 0) {

@@ -1,6 +1,7 @@
 package fit
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -84,10 +85,13 @@ func TestLinearLSQBadInput(t *testing.T) {
 }
 
 func TestSolveLinearSingular(t *testing.T) {
-	m := [][]float64{{1, 1}, {1, 1}}
+	m := []float64{
+		1, 1,
+		1, 1,
+	}
 	b := []float64{1, 2}
-	if _, err := solveLinear(m, b); err == nil {
-		t.Error("singular system should error")
+	if err := solveLinear(m, b, make([]float64, 2)); !errors.Is(err, ErrSingular) {
+		t.Errorf("singular system: err = %v, want ErrSingular", err)
 	}
 }
 

@@ -22,41 +22,87 @@ func defaultLMOptions() lmOptions {
 	}
 }
 
+// workspace is the Levenberg–Marquardt solver's scratch memory, sized for
+// m observations and n parameters and carved from one backing array.
+// Matrices are flat and row-major. An accepted step swaps p with trial and
+// r with tr instead of copying, so once sized the solver allocates nothing.
+// A workspace belongs to one goroutine; every solve overwrites the buffers
+// it reads before reading them, so reusing one cannot leak state between
+// solves.
+type workspace struct {
+	buf      []float64 // backing array of every buffer below
+	jac      []float64 // m×n forward-difference Jacobian
+	jtj, a   []float64 // n×n JᵀJ and its damped copy
+	jtr, b   []float64 // Jᵀr and the damped system's right-hand side
+	delta    []float64 // the step solving the damped system
+	p, trial []float64 // current and trial parameters
+	r, tr    []float64 // residuals at p and at trial
+}
+
+// reset sizes the workspace for m observations and n parameters,
+// reallocating its backing array only when it is too small.
+func (ws *workspace) reset(m, n int) {
+	need := m*n + 2*n*n + 5*n + 2*m
+	if cap(ws.buf) < need {
+		ws.buf = make([]float64, need)
+	}
+	buf := ws.buf[:need]
+	take := func(k int) []float64 {
+		s := buf[:k:k]
+		buf = buf[k:]
+		return s
+	}
+	ws.jac, ws.jtj, ws.a = take(m*n), take(n*n), take(n*n)
+	ws.jtr, ws.b, ws.delta = take(n), take(n), take(n)
+	ws.p, ws.trial = take(n), take(n)
+	ws.r, ws.tr = take(m), take(m)
+}
+
 // LevenbergMarquardt minimizes sum_i (f(p, xs[i]) - ys[i])^2 over p starting
 // from start, returning the refined parameters and the final sum of squared
 // residuals. The Jacobian is computed by forward differences. The
 // implementation is the classic damped normal-equations variant: solve
 // (JᵀJ + λ diag(JᵀJ)) δ = -Jᵀr, accept steps that reduce χ², shrinking λ on
-// success and growing it on failure.
+// success and growing it on failure. The solve runs on a workspace of its
+// own; callers solving many starts reuse one through
+// workspace.levenbergMarquardt.
 func LevenbergMarquardt(f func(p []float64, x float64) float64, xs, ys, start []float64) ([]float64, float64) {
+	var ws workspace
+	p, chi := ws.levenbergMarquardt(f, xs, ys, start)
+	return append([]float64(nil), p...), chi
+}
+
+// residuals fills r with f(p, xs[i]) - ys[i] and returns χ², their sum of
+// squares in index order. It reports false, with χ² = +Inf, as soon as f
+// is not finite.
+func residuals(f func(p []float64, x float64) float64, xs, ys, p, r []float64) (float64, bool) {
+	chi := 0.0
+	for i := range xs {
+		v := f(p, xs[i])
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return math.Inf(1), false
+		}
+		r[i] = v - ys[i]
+		chi += r[i] * r[i]
+	}
+	return chi, true
+}
+
+// levenbergMarquardt is LevenbergMarquardt on ws. The returned parameters
+// alias the workspace and are valid until its next solve.
+func (ws *workspace) levenbergMarquardt(f func(p []float64, x float64) float64, xs, ys, start []float64) ([]float64, float64) {
 	opt := defaultLMOptions()
 	n := len(start)
-	p := append([]float64(nil), start...)
+	ws.reset(len(xs), n)
+	jac, jtj, a, jtr, b, delta := ws.jac, ws.jtj, ws.a, ws.jtr, ws.b, ws.delta
+	p, trial, r, tr := ws.p, ws.trial, ws.r, ws.tr
+	copy(p, start)
 
-	residuals := func(p []float64) ([]float64, float64) {
-		r := make([]float64, len(xs))
-		chi := 0.0
-		for i := range xs {
-			v := f(p, xs[i])
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, math.Inf(1)
-			}
-			r[i] = v - ys[i]
-			chi += r[i] * r[i]
-		}
-		return r, chi
-	}
-
-	r, chi := residuals(p)
-	if r == nil {
+	chi, ok := residuals(f, xs, ys, p, r)
+	if !ok {
 		return p, chi
 	}
 	lambda := opt.InitDamp
-
-	jac := make([][]float64, len(xs))
-	for i := range jac {
-		jac[i] = make([]float64, n)
-	}
 
 	for iter := 0; iter < opt.MaxIter; iter++ {
 		// Forward-difference Jacobian.
@@ -71,7 +117,7 @@ func LevenbergMarquardt(f func(p []float64, x float64) float64, xs, ys, start []
 					bad = true
 					break
 				}
-				jac[i][j] = (v - ys[i] - r[i]) / h
+				jac[i*n+j] = (v - ys[i] - r[i]) / h
 			}
 			p[j] = pj
 			if bad {
@@ -84,7 +130,7 @@ func LevenbergMarquardt(f func(p []float64, x float64) float64, xs, ys, start []
 						ok = false
 						break
 					}
-					jac[i][j] = (r[i] - (v - ys[i])) / h
+					jac[i*n+j] = (r[i] - (v - ys[i])) / h
 				}
 				p[j] = pj
 				if !ok {
@@ -93,23 +139,21 @@ func LevenbergMarquardt(f func(p []float64, x float64) float64, xs, ys, start []
 			}
 		}
 
-		// Build JᵀJ and Jᵀr.
-		jtj := make([][]float64, n)
-		for j := range jtj {
-			jtj[j] = make([]float64, n)
-		}
-		jtr := make([]float64, n)
+		// Build JᵀJ (upper triangle, then mirrored) and Jᵀr.
+		clear(jtj)
+		clear(jtr)
 		for i := range xs {
+			row := jac[i*n : i*n+n]
 			for j := 0; j < n; j++ {
-				jtr[j] += jac[i][j] * r[i]
+				jtr[j] += row[j] * r[i]
 				for k := j; k < n; k++ {
-					jtj[j][k] += jac[i][j] * jac[i][k]
+					jtj[j*n+k] += row[j] * row[k]
 				}
 			}
 		}
 		for j := 0; j < n; j++ {
 			for k := 0; k < j; k++ {
-				jtj[j][k] = jtj[k][j]
+				jtj[j*n+k] = jtj[k*n+j]
 			}
 		}
 
@@ -124,32 +168,30 @@ func LevenbergMarquardt(f func(p []float64, x float64) float64, xs, ys, start []
 		improved := false
 		for attempt := 0; attempt < 12; attempt++ {
 			// Damped system: (JᵀJ + λ diag(JᵀJ) + εI) δ = -Jᵀr.
-			a := make([][]float64, n)
-			b := make([]float64, n)
+			copy(a, jtj)
 			for j := 0; j < n; j++ {
-				a[j] = append([]float64(nil), jtj[j]...)
-				d := jtj[j][j]
+				d := jtj[j*n+j]
 				if d == 0 {
 					d = 1e-12
 				}
-				a[j][j] += lambda*d + 1e-15
+				a[j*n+j] += lambda*d + 1e-15
 				b[j] = -jtr[j]
 			}
-			delta, err := solveLinear(a, b)
-			if err != nil {
+			if err := solveLinear(a, b, delta); err != nil {
 				lambda *= 10
 				continue
 			}
-			trial := make([]float64, n)
 			stepNorm := 0.0
 			for j := 0; j < n; j++ {
 				trial[j] = p[j] + delta[j]
 				stepNorm += delta[j] * delta[j]
 			}
-			tr, tchi := residuals(trial)
-			if tr != nil && tchi < chi {
+			tchi, ok := residuals(f, xs, ys, trial, tr)
+			if ok && tchi < chi {
 				relDrop := (chi - tchi) / (chi + 1e-300)
-				p, r, chi = trial, tr, tchi
+				p, trial = trial, p
+				r, tr = tr, r
+				chi = tchi
 				lambda = math.Max(lambda*0.3, 1e-12)
 				improved = true
 				if math.Sqrt(stepNorm) < opt.TolStep || relDrop < opt.TolChiRel {

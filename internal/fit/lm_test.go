@@ -2,6 +2,7 @@ package fit
 
 import (
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -104,5 +105,124 @@ func TestLMZeroResidualStart(t *testing.T) {
 	}
 	if math.Abs(p[0]-2) > 1e-9 {
 		t.Errorf("param drifted: %v", p[0])
+	}
+}
+
+// TestWorkspaceSteadyStateZeroAllocs locks in the solver's steady state:
+// once a workspace has solved a problem, solving it again allocates
+// nothing — Jacobian, normal equations, damped system, step, parameters and
+// residuals are all recycled.
+func TestWorkspaceSteadyStateZeroAllocs(t *testing.T) {
+	truth := []float64{1, 0.5, 0.02, 0.001, 0.1, 0.004, 0.0001}
+	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	ys := make([]float64, len(xs))
+	for i, x := range xs {
+		ys[i] = Rat33.Eval(truth, x) * (1 + 0.01*math.Sin(3*x))
+	}
+	start := Rat33.Starts(xs, ys)[0]
+	var ws workspace
+	p, chi := ws.levenbergMarquardt(Rat33.Eval, xs, ys, start)
+	startChi, _ := residuals(Rat33.Eval, xs, ys, start, make([]float64, len(xs)))
+	if !(chi < startChi) {
+		t.Fatalf("solve did not improve on its start: chi %v, start chi %v", chi, startChi)
+	}
+	// The exported entry point must return the same bits as a reused
+	// workspace.
+	ep, echi := LevenbergMarquardt(Rat33.Eval, xs, ys, start)
+	if math.Float64bits(echi) != math.Float64bits(chi) {
+		t.Fatalf("LevenbergMarquardt chi %v != workspace chi %v", echi, chi)
+	}
+	for j := range p {
+		if math.Float64bits(ep[j]) != math.Float64bits(p[j]) {
+			t.Fatalf("LevenbergMarquardt p[%d] = %v, workspace %v", j, ep[j], p[j])
+		}
+	}
+	avg := testing.AllocsPerRun(20, func() {
+		ws.levenbergMarquardt(Rat33.Eval, xs, ys, start)
+	})
+	if avg != 0 {
+		t.Fatalf("steady-state Rat33 solve allocates %.1f objects per run, want 0", avg)
+	}
+}
+
+// TestConcurrentFitsMatchSerial: fits running at once on distinct inputs
+// must return exactly the bits serial calls return, so no solver state —
+// workspace, starts or the winning parameters — is shared between
+// goroutines. Run it under -race.
+func TestConcurrentFitsMatchSerial(t *testing.T) {
+	const goroutines = 8
+	const rounds = 3
+	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	type input struct{ ys, perturbed []float64 }
+	inputs := make([]input, goroutines)
+	for g := range inputs {
+		fg := float64(g + 1)
+		in := input{ys: make([]float64, len(xs)), perturbed: make([]float64, len(xs))}
+		for i, x := range xs {
+			in.ys[i] = (1+0.3*fg*x+0.02*fg*x*x)/(1+0.05*x) + 0.05*math.Sin(fg*x)
+			in.perturbed[i] = in.ys[i] * (1 + 0.02*math.Cos(fg+x))
+		}
+		inputs[g] = in
+	}
+	type result struct{ approx, refit *Fit }
+	run := func(in input) (result, error) {
+		f, err := Approximate(xs, in.ys, Options{})
+		if err != nil {
+			return result{}, err
+		}
+		rf, err := Refit(f, xs, in.perturbed)
+		return result{f, rf}, err
+	}
+	serial := make([]result, goroutines)
+	for g, in := range inputs {
+		r, err := run(in)
+		if err != nil {
+			t.Fatalf("input %d: %v", g, err)
+		}
+		serial[g] = r
+	}
+
+	got := make([][rounds]result, goroutines)
+	errs := make([]error, goroutines)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			for k := 0; k < rounds && errs[g] == nil; k++ {
+				got[g][k], errs[g] = run(inputs[g])
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+
+	same := func(a, b *Fit) bool {
+		if a.Kernel != b.Kernel || a.PrefixLen != b.PrefixLen || len(a.Params) != len(b.Params) ||
+			math.Float64bits(a.YScale) != math.Float64bits(b.YScale) ||
+			math.Float64bits(a.CheckpointRMSE) != math.Float64bits(b.CheckpointRMSE) {
+			return false
+		}
+		for j := range a.Params {
+			if math.Float64bits(a.Params[j]) != math.Float64bits(b.Params[j]) {
+				return false
+			}
+		}
+		return true
+	}
+	for g := range inputs {
+		if errs[g] != nil {
+			t.Fatalf("input %d concurrently: %v", g, errs[g])
+		}
+		for k := 0; k < rounds; k++ {
+			if !same(got[g][k].approx, serial[g].approx) {
+				t.Errorf("input %d round %d: concurrent Approximate %v differs from serial %v", g, k, got[g][k].approx, serial[g].approx)
+			}
+			if !same(got[g][k].refit, serial[g].refit) {
+				t.Errorf("input %d round %d: concurrent Refit %v differs from serial %v", g, k, got[g][k].refit, serial[g].refit)
+			}
+		}
 	}
 }

@@ -109,6 +109,7 @@ func TestExploreValidation(t *testing.T) {
 		{"machine grid", `{"workload":"memcached","machine":"Xeon20?cores=8,cores=12"}`, "exactly one machine"},
 		{"unknown workload", `{"workload":"memcachd","machine":"Haswell"}`, "unknown workload"},
 		{"negative bootstrap", `{"workload":"memcached","machine":"Haswell","bootstrap":-1}`, "negative bootstrap"},
+		{"bootstrap above limit", `{"workload":"memcached","machine":"Haswell","bootstrap":400000000}`, "above the limit of 10000"},
 		{"bad ci", `{"workload":"memcached","machine":"Haswell","ci_level":120}`, "outside (0, 100)"},
 		{"negative budget", `{"workload":"memcached","machine":"Haswell","budget":-2}`, "negative exploration budget"},
 		{"negative target", `{"workload":"memcached","machine":"Haswell","target_band_pct":-5}`, "negative target band"},

@@ -258,8 +258,15 @@ func TestLimiterBoundsInFlightRequests(t *testing.T) {
 // TestHTTPRequestCancellationStopsPipeline proves a disconnecting client
 // cancels its request's pipeline workers: a predict with a huge bootstrap
 // count aborts promptly when the client gives up, instead of grinding
-// through every replicate.
+// through every replicate. Uncancelled, the request must run far longer
+// than the test's bound, or the test proves nothing: 2^20 replicates
+// refitting Xeon20's 10-core windows (rational kernels) take minutes on a
+// 2-vCPU host, where Haswell's 4-core windows (linear kernels only) finish
+// inside the bound. The count is far above what the API accepts, so the
+// test lifts maxBootstrap for its duration.
 func TestHTTPRequestCancellationStopsPipeline(t *testing.T) {
+	defer func(limit int) { maxBootstrap = limit }(maxBootstrap)
+	maxBootstrap = 1 << 20
 	handlerDone := make(chan struct{})
 	inner := newTestHandler(t, ServerConfig{})
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -269,7 +276,7 @@ func TestHTTPRequestCancellationStopsPipeline(t *testing.T) {
 	defer srv.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	body := `{"workload":"intruder","machine":"Haswell","scale":0.05,"bootstrap":1048576}`
+	body := `{"workload":"intruder","machine":"Xeon20","scale":0.05,"bootstrap":1048576}`
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/v1/predict", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +289,7 @@ func TestHTTPRequestCancellationStopsPipeline(t *testing.T) {
 		}
 		clientDone <- err
 	}()
-	time.Sleep(50 * time.Millisecond) // let the request reach the bootstrap stage
+	time.Sleep(250 * time.Millisecond) // let the request reach the bootstrap stage
 	cancel()
 	select {
 	case <-handlerDone:

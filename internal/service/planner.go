@@ -240,10 +240,21 @@ func planCell(w sim.Workload, m *machine.Config, scale float64, targets []int, r
 	}
 }
 
-// checkBootstrap validates the bootstrap options sweeps and cells share.
+// maxBootstrap bounds the replicates one request may ask for. The
+// bootstrap sizes its replicate table from the count before running any of
+// them, so an unbounded count lets one request exhaust memory, which kills
+// the process rather than failing the request. It is a variable only so a
+// test can lift it to drive a request that runs far longer than its bound.
+var maxBootstrap = 10000
+
+// checkBootstrap validates the bootstrap options every request that runs
+// the bootstrap shares.
 func checkBootstrap(bootstrap int, ciLevel float64) error {
 	if bootstrap < 0 {
 		return badRequest("negative bootstrap count %d", bootstrap)
+	}
+	if bootstrap > maxBootstrap {
+		return badRequest("bootstrap count %d above the limit of %d", bootstrap, maxBootstrap)
 	}
 	if ciLevel != 0 && (ciLevel <= 0 || ciLevel >= 100) {
 		return badRequest("confidence level %g%% outside (0, 100)", ciLevel)

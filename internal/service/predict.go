@@ -35,6 +35,9 @@ func (s *Service) Predict(ctx context.Context, req PredictRequest) (*PredictResp
 	if err := opt.Validate(); err != nil {
 		return nil, &BadRequestError{Err: err}
 	}
+	if err := checkBootstrap(req.Bootstrap, req.CILevel); err != nil {
+		return nil, err
+	}
 	scale := defaultScale(req.Scale)
 
 	resp := &PredictResponse{APIVersion: APIVersion, ScaleRecorded: true}

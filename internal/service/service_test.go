@@ -68,6 +68,10 @@ func TestRequestValidation(t *testing.T) {
 			_, err := svc.Predict(bg, PredictRequest{Workload: "intruder", Machine: "Haswell", Bootstrap: -1})
 			return err
 		}, "negative bootstrap"},
+		{"bootstrap above limit", func() error {
+			_, err := svc.Predict(bg, PredictRequest{Workload: "intruder", Machine: "Haswell", Scale: 0.05, Bootstrap: 400000000})
+			return err
+		}, "above the limit of 10000"},
 		{"ci out of range", func() error {
 			_, err := svc.Predict(bg, PredictRequest{Workload: "intruder", Machine: "Haswell", Bootstrap: 10, CILevel: 150})
 			return err
