@@ -118,7 +118,7 @@ func cmdCollect(ctx context.Context, args []string) error {
 	coreSpec := fs.String("cores", "all", "core counts")
 	scale := fs.Float64("scale", 1, "dataset scale factor")
 	out := fs.String("o", "", "write the series as JSON to this file (for 'predict -from')")
-	cacheDir := fs.String("cache", "", "measurement store directory, reused across runs (applies to contiguous 1..N core schedules; the replay notice is only printed with -o, since CSV owns stdout)")
+	cacheDir := fs.String("cache", "", "measurement store directory, reused across runs: any core schedule replays the samples stored there and simulates only the rest (the replay notice is only printed with -o, since CSV owns stdout)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/service"
+	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/workloads"
 )
@@ -64,8 +65,11 @@ func TestSweepFullMatrixThroughWorkerPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Len() != len(wls) {
-		t.Errorf("store holds %d series, want %d", st.Len(), len(wls))
+	for _, wl := range wls {
+		k := store.Key{Workload: wl, Machine: "Haswell", MaxCores: 4, Scale: 0.05, Engine: sim.EngineVersion}
+		if _, ok := st.Get(bg, k); !ok {
+			t.Errorf("store lacks %s's 1..4 window", wl)
+		}
 	}
 
 	warm, err := captureStdout(t, func() error { return cmdSweep(bg, args) })

@@ -6,7 +6,8 @@
 //
 // Checked sinks:
 //
-//   - the Workload and Machine fields of store.Key composite literals;
+//   - the Workload and Machine fields of store.Key and store.SampleKey
+//     composite literals;
 //   - arguments bound to parameters declared with an //estima:canonical
 //     directive on a same-package function's doc comment, e.g.
 //     //estima:canonical workload mach
@@ -86,14 +87,19 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// checkStoreKey checks Workload/Machine fields of store.Key literals.
+// checkStoreKey checks Workload/Machine fields of store.Key and
+// store.SampleKey literals.
 func checkStoreKey(pass *analysis.Pass, lit *ast.CompositeLit, cur *ast.FuncDecl) {
 	t := pass.TypesInfo.TypeOf(lit)
 	if t == nil {
 		return
 	}
 	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Name() != "Key" || named.Obj().Pkg() == nil || named.Obj().Pkg().Name() != "store" {
+	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Name() != "store" {
+		return
+	}
+	typ := named.Obj().Name()
+	if typ != "Key" && typ != "SampleKey" {
 		return
 	}
 	for i, elt := range lit.Elts {
@@ -113,7 +119,7 @@ func checkStoreKey(pass *analysis.Pass, lit *ast.CompositeLit, cur *ast.FuncDecl
 			field, value = st.Field(i).Name(), elt
 		}
 		if field == "Workload" || field == "Machine" {
-			checkSinkValue(pass, value, "store.Key."+field, cur)
+			checkSinkValue(pass, value, "store."+typ+"."+field, cur)
 		}
 	}
 }

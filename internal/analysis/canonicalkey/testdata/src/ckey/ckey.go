@@ -30,6 +30,14 @@ func BadMachine(host string) store.Key {
 	return store.Key{Machine: "host-" + host} // want `string concatenation builds the store\.Key\.Machine identity`
 }
 
+func GoodSample(w workload, mach string) store.SampleKey {
+	return store.SampleKey{Workload: w.Name(), Machine: mach, Cores: 2}
+}
+
+func BadSample(w workload, variant int) store.SampleKey {
+	return store.SampleKey{Workload: fmt.Sprintf("%s-%d", w.Name(), variant), Cores: 2} // want `fmt\.Sprintf builds the store\.SampleKey\.Workload identity`
+}
+
 // seed derives a simulator seed from a canonical scenario name.
 //
 //estima:canonical name

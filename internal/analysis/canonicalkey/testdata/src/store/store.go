@@ -9,3 +9,9 @@ type Key struct {
 	Machine  string
 	MaxCores int
 }
+
+type SampleKey struct {
+	Workload string
+	Machine  string
+	Cores    int
+}

@@ -87,7 +87,7 @@ type Coordinator struct {
 	// body); cellFlights coalesces sweep and explore cells by fit identity
 	// (key: PlannedCell.FitKey), which also catches *overlapping* grids
 	// whose bodies differ. Both forget a flight as soon as it completes:
-	// the workers' store, series memo and fit memo are the durable layers.
+	// the workers' store, sample memo and fit memo are the durable layers.
 	relayFlights *flight.Group[string, relayResult]
 	cellFlights  *flight.Group[string, service.SweepCell]
 

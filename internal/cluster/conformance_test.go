@@ -250,6 +250,8 @@ func TestValidationBytesMatchSingleProcess(t *testing.T) {
 		{"predict bootstrap above limit", "/v1/predict", `{"workload":"intruder","machine":"Haswell","scale":0.05,"bootstrap":400000000}`, http.StatusBadRequest},
 		{"diagnose unknown workload", "/v1/diagnose", `{"workload":"intrudr","machine":"Haswell"}`, http.StatusBadRequest},
 		{"diagnose bad checkpoints", "/v1/diagnose", `{"workload":"intruder","machine":"Haswell","checkpoints":-2}`, http.StatusBadRequest},
+		{"collect core listed twice", "/v1/collect", `{"workload":"intruder","machine":"Haswell","cores":"1-4,1-4"}`, http.StatusBadRequest},
+		{"curve core listed twice", "/v1/curve", `{"workload":"intruder","machine":"Haswell","cores":"1,3,2-3"}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -164,8 +164,8 @@ func (e *env) series(workload string, m *machine.Config, maxCores int, dataScale
 
 // predict runs one standard-scenario prediction through the service's sweep
 // planner: the 1..measCores window of workload on m (measured at the
-// experiment's base scale times dataScale, served from the series memo, a
-// prefix of an already collected longer series, or the store) is fitted
+// experiment's base scale times dataScale, assembled from samples the
+// service's memo or store already holds where it can) is fitted
 // once per distinct (workload, machine, scale, targets, options) input and
 // the finished prediction memoized, so runners revisiting a scenario reuse
 // it. The service CPU gate bounds the fitting work, so runners fan rows out

@@ -148,6 +148,11 @@ func TestSeriesWarmCacheAcrossEnvs(t *testing.T) {
 // the env memoizes in process and never persists.
 func TestSeriesNoCacheDirStillWorks(t *testing.T) {
 	e := newEnv(bg, Config{Scale: 0.05, Workers: 2}.withDefaults())
+	var calls atomic.Int64
+	e.collect = func(w sim.Workload, mc *machine.Config, cores int, scale float64) (counters.Sample, error) {
+		calls.Add(1)
+		return sim.Collect(w, mc, cores, scale)
+	}
 	m := machine.Opteron()
 	s1, err := e.series("genome", m, 3, 1)
 	if err != nil {
@@ -157,8 +162,9 @@ func TestSeriesNoCacheDirStillWorks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s1 != s2 {
-		t.Error("in-process memoization should return the same series pointer")
+	if !reflect.DeepEqual(s1, s2) || calls.Load() != 3 {
+		t.Errorf("in-process memoization: series equal=%v after %d simulations, want equal after 3",
+			reflect.DeepEqual(s1, s2), calls.Load())
 	}
 	if len(s1.Samples) != 3 {
 		t.Errorf("got %d samples, want 3", len(s1.Samples))

@@ -2,8 +2,8 @@
 // "1,2,4,8" — shared by every layer that accepts them. The CLI validates
 // schedule syntax up front (a typo fails before any simulation is queued)
 // and the service additionally bounds schedules against the resolved
-// machine; both speak through this package, so the grammar can never drift
-// between entry points.
+// machine and rejects repeated core counts; both speak through this
+// package, so the grammar can never drift between entry points.
 package sched
 
 import (
@@ -50,7 +50,8 @@ func Validate(spec string) error {
 }
 
 // Expand parses a schedule against a machine's core count, expanding
-// "all"/"" to 1..max and rejecting any count beyond the machine.
+// "all"/"" to 1..max and rejecting any count beyond the machine or listed
+// twice, so no schedule is longer than its machine.
 func Expand(spec string, max int) ([]int, error) {
 	if spec == "" || spec == "all" {
 		out := make([]int, max)
@@ -60,6 +61,7 @@ func Expand(spec string, max int) ([]int, error) {
 		return out, nil
 	}
 	var out []int
+	listed := make([]bool, max+1)
 	err := walk(spec, func(lo, hi int) error {
 		if hi > max {
 			if lo == hi {
@@ -69,6 +71,10 @@ func Expand(spec string, max int) ([]int, error) {
 				strconv.Itoa(lo)+"-"+strconv.Itoa(hi), max)
 		}
 		for c := lo; c <= hi; c++ {
+			if listed[c] {
+				return fmt.Errorf("core count %d listed twice", c)
+			}
+			listed[c] = true
 			out = append(out, c)
 		}
 		return nil
@@ -77,15 +83,4 @@ func Expand(spec string, max int) ([]int, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// ContiguousFromOne reports whether cores is exactly the schedule 1..N —
-// the only shape the measurement store is keyed by.
-func ContiguousFromOne(cores []int) bool {
-	for i, c := range cores {
-		if c != i+1 {
-			return false
-		}
-	}
-	return len(cores) > 0
 }

@@ -24,6 +24,9 @@ func TestExpand(t *testing.T) {
 		{spec: "0", max: 4, err: "bad core count"},
 		{spec: "5", max: 4, err: "core count 5 exceeds the machine's 4 cores"},
 		{spec: "1-2000000000", max: 4, err: "exceeds the machine's 4 cores"},
+		{spec: "1-4,1-4", max: 4, err: "core count 1 listed twice"},
+		{spec: "2,1-3", max: 4, err: "core count 2 listed twice"},
+		{spec: "3,3", max: 4, err: "core count 3 listed twice"},
 	}
 	for _, c := range cases {
 		got, err := Expand(c.spec, c.max)
@@ -48,17 +51,6 @@ func TestValidateMatchesExpand(t *testing.T) {
 		_, xerr := Expand(spec, 64)
 		if (verr == nil) != (xerr == nil) {
 			t.Errorf("Validate(%q) = %v but Expand = %v", spec, verr, xerr)
-		}
-	}
-}
-
-func TestContiguousFromOne(t *testing.T) {
-	if !ContiguousFromOne([]int{1, 2, 3}) {
-		t.Error("1,2,3 not contiguous")
-	}
-	for _, bad := range [][]int{nil, {}, {2, 3}, {1, 3}, {1, 2, 2}} {
-		if ContiguousFromOne(bad) {
-			t.Errorf("%v reported contiguous", bad)
 		}
 	}
 }

@@ -108,8 +108,8 @@ type PredictResponse struct {
 	// comparison.
 	WorkloadKnown bool `json:"workload_known"`
 	MachineKnown  bool `json:"machine_known"`
-	// CacheHit reports that the measurement series was replayed from the
-	// store rooted at StoreDir instead of simulated.
+	// CacheHit reports that every sample of the measurement series was
+	// replayed from the store rooted at StoreDir instead of simulated.
 	CacheHit bool   `json:"cache_hit,omitempty"`
 	StoreDir string `json:"store_dir,omitempty"`
 	// CategoryFits maps each stall category to its selected extrapolation
@@ -221,8 +221,8 @@ type CollectRequest struct {
 	Workload   string `json:"workload"`
 	Machine    string `json:"machine"`
 	// Cores is the schedule spec: "all" or "" (1..NumCores), "1-12", or
-	// "1,2,4,8". The measurement store only applies to contiguous 1..N
-	// schedules, the shape every prediction consumes.
+	// "1,2,4,8", listing each core count at most once. Any schedule is
+	// assembled from per-sample store entries.
 	Cores string `json:"cores,omitempty"`
 	// Scale is the dataset scale; 0 means 1.
 	Scale float64 `json:"scale,omitempty"`
@@ -245,8 +245,8 @@ type CollectResponse struct {
 }
 
 // CurveRequest asks for the raw measured time and stall curves of a
-// workload (no extrapolation) — the same collection path as Collect but
-// never persisted, mirroring 'estima curve'.
+// workload (no extrapolation) — a CollectRequest under another name,
+// mirroring 'estima curve'.
 type CurveRequest struct {
 	APIVersion string  `json:"api_version,omitempty"`
 	Workload   string  `json:"workload"`
@@ -255,7 +255,7 @@ type CurveRequest struct {
 	Scale      float64 `json:"scale,omitempty"`
 }
 
-// CurveResponse mirrors CollectResponse without cache involvement.
+// CurveResponse is CollectResponse without the cache fields.
 type CurveResponse struct {
 	APIVersion string          `json:"api_version"`
 	Workload   string          `json:"workload"`

@@ -10,7 +10,9 @@ import (
 // (mirroring counters' FuzzDecodeSeries): the strict decoder behind every
 // POST /v1/* endpoint must never panic on malformed bytes, anything it
 // accepts must re-encode, and the cheap validation helpers (version check,
-// core-schedule parsing) must be total over accepted requests.
+// core-schedule parsing) must be total over accepted requests. An accepted
+// schedule lists distinct core counts, so it is never longer than the
+// machine.
 func FuzzDecodeRequest(f *testing.F) {
 	seeds := []string{
 		``,
@@ -26,6 +28,8 @@ func FuzzDecodeRequest(f *testing.F) {
 		`{"cores":"-"}`,
 		`{"cores":"1-"}`,
 		`{"cores":"9999999999999999999999"}`,
+		`{"cores":"1-4,1-4"}`,
+		`{"cores":"3,1-3"}`,
 		`{"api_version":"v9"}`,
 		`{"series":{"version":1,"workload":"w","machine":"m"}}`,
 		`{"series":"not an object"}`,
@@ -63,10 +67,15 @@ func FuzzDecodeRequest(f *testing.F) {
 		if err := decode(&cr); err == nil {
 			checkVersion(cr.APIVersion)
 			if cores, err := parseCores(cr.Cores, 48); err == nil {
+				if len(cores) > 48 {
+					t.Fatalf("parseCores(%q) accepted %d entries on a 48-core machine", cr.Cores, len(cores))
+				}
+				seen := map[int]bool{}
 				for _, c := range cores {
-					if c < 1 {
-						t.Fatalf("parseCores(%q) accepted core count %d", cr.Cores, c)
+					if c < 1 || seen[c] {
+						t.Fatalf("parseCores(%q) accepted core count %d (listed before: %v)", cr.Cores, c, seen[c])
 					}
+					seen[c] = true
 				}
 			}
 			if _, err := json.Marshal(cr); err != nil {

@@ -5,12 +5,13 @@
 // Decomposition: every matrix cell becomes one PlannedCell carrying its
 // series key (the collect step) and its artifact key (the fit+predict
 // step). Cells sharing a series key share one collection (the in-process
-// series memo is a singleflight), and cells sharing an artifact key share
-// one fit: the fitted-model memo below collapses concurrent duplicates and
-// retains finished artifacts in a bounded LRU, so a warm sweep performs
-// zero new fits per already-seen (workload, machine, options, targets)
-// input. Evicted artifacts are cheap to restore: their measurement series
-// persists in the store, and refitting costs far less than re-measuring.
+// sample memo simulates each sample once), and cells sharing an artifact
+// key share one fit: the fitted-model memo below collapses concurrent
+// duplicates and retains finished artifacts in a bounded LRU, so a warm
+// sweep performs zero new fits per already-seen (workload, machine,
+// options, targets) input. Evicted artifacts are cheap to restore: their
+// measurement samples persist in the store, and refitting costs far less
+// than re-measuring.
 package service
 
 import (
@@ -64,9 +65,9 @@ const maxSweepCells = 16384
 // fitResult is one fitted-model memo value.
 type fitResult struct {
 	pred *core.Prediction
-	// seriesHit records whether the artifact's measurement series was
-	// replayed (store or memo) rather than simulated — the value every
-	// requester reports, so repeated requests answer identically.
+	// seriesHit records whether every sample of the artifact's measurement
+	// series was replayed from the store rather than simulated — the value
+	// every requester reports, so repeated requests answer identically.
 	seriesHit bool
 }
 
@@ -145,7 +146,7 @@ func (s *Service) predicted(ctx context.Context, w sim.Workload, m *machine.Conf
 	if opt.Kernels != nil {
 		// Uncacheable options still share the measurement layer and the
 		// service CPU gate.
-		ser, hit, err := s.series(ctx, w, m, measCores, scale)
+		ser, hit, err := s.series(ctx, w, m, sim.CoreRange(measCores), scale)
 		if err != nil {
 			return nil, hit, err
 		}
@@ -172,7 +173,7 @@ func (s *Service) fit(ctx context.Context, key string, w sim.Workload, m *machin
 	if s.fitHook != nil {
 		s.fitHook(key)
 	}
-	ser, hit, err := s.series(ctx, w, m, measCores, scale)
+	ser, hit, err := s.series(ctx, w, m, sim.CoreRange(measCores), scale)
 	if err != nil {
 		return fitResult{seriesHit: hit}, err
 	}
@@ -404,9 +405,9 @@ func (s *Service) PlanSweep(req SweepRequest) (*PlannedSweep, error) {
 // machine names, NUL-joined (both are spec-canonical, so neither contains a
 // NUL). Deliberately coarser than the full series/artifact key: every
 // schedule, scale and option variant of one scenario routes to the same
-// worker, so that worker's store can prefix-window 1..K requests from any
-// cached 1..N series and its fit memo sees every option variant of the
-// series it owns.
+// worker, so every schedule of the scenario is assembled from the samples
+// that worker's store and memo already hold, and its fit memo sees every
+// option variant of the series it owns.
 //
 //estima:canonical workload machine
 func RouteKey(workload, machine string) string {

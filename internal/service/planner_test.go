@@ -179,13 +179,13 @@ func TestFitCacheEvictionRefits(t *testing.T) {
 	}
 }
 
-// TestLRUCacheRecencyAndEviction: the series memo evicts the least
-// recently used series first. With room for two, re-reading the oldest
-// protects it, so the next new series evicts the other one.
+// TestLRUCacheRecencyAndEviction: the sample memo evicts the least
+// recently used sample first. With room for two, re-reading the oldest
+// protects it, so the next new sample evicts the other one.
 func TestLRUCacheRecencyAndEviction(t *testing.T) {
 	var sims atomic.Int64
 	svc := newTestService(t, Config{CollectSample: countingCollector(&sims)})
-	svc.memo = flight.New[store.Key, memoSeries](2)
+	svc.memo = flight.New[store.SampleKey, memoSample](2)
 	read := func(workload string) {
 		t.Helper()
 		w, m, err := resolve(workload, "Haswell")
@@ -215,8 +215,8 @@ func TestLRUCacheRecencyAndEviction(t *testing.T) {
 }
 
 // TestSeriesPrefixWindowing: a 1..K request after a 1..N collection (N > K)
-// is served by windowing, not by re-simulating, and is byte-identical to a
-// fresh collection.
+// is served from the memoized samples, not by re-simulating, and is
+// byte-identical to the collection's prefix.
 func TestSeriesPrefixWindowing(t *testing.T) {
 	var sims atomic.Int64
 	svc := newTestService(t, Config{CollectSample: countingCollector(&sims)})
@@ -240,7 +240,7 @@ func TestSeriesPrefixWindowing(t *testing.T) {
 		t.Errorf("prefix request re-ran the simulator (%d calls)", sims.Load())
 	}
 	if hit != false {
-		t.Errorf("derived series must inherit the parent's hit flag (false), got %v", hit)
+		t.Errorf("simulated samples must not report a store hit, got %v", hit)
 	}
 	if len(win.Samples) != 2 || !reflect.DeepEqual(win.Samples, full.Samples[:2]) {
 		t.Errorf("windowed series differs from the parent prefix")
@@ -251,8 +251,8 @@ func TestSeriesPrefixWindowing(t *testing.T) {
 }
 
 // TestSeriesPrefixWindowingFromStore: a fresh service over a warm store
-// serves a never-collected 1..K schedule by windowing the store's longer
-// series — cross-process collection dedup.
+// serves a never-collected 1..K schedule from the samples a longer
+// collection stored — cross-process collection dedup.
 func TestSeriesPrefixWindowingFromStore(t *testing.T) {
 	dir := t.TempDir()
 	cold := newTestService(t, Config{CacheDir: dir})
@@ -267,7 +267,7 @@ func TestSeriesPrefixWindowingFromStore(t *testing.T) {
 	}
 
 	denying := func(sim.Workload, *machine.Config, int, float64) (counters.Sample, error) {
-		t.Error("simulator invoked although the store holds a superset series")
+		t.Error("simulator invoked although the store holds every sample")
 		return counters.Sample{}, nil
 	}
 	warm := newTestService(t, Config{CacheDir: dir, CollectSample: denying})
@@ -276,61 +276,10 @@ func TestSeriesPrefixWindowingFromStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !hit {
-		t.Error("store-windowed series should report a cache hit")
+		t.Error("a series replayed from stored samples should report a cache hit")
 	}
 	if len(win.Samples) != 2 || !reflect.DeepEqual(win.Samples, full.Samples[:2]) {
-		t.Error("store-windowed series differs from the collected prefix")
-	}
-}
-
-// TestPrefixWindowingSurvivesShortParent: a store entry whose series is
-// shorter than its key claims (a truncated-but-valid file) must not poison
-// the prefix path — the request falls back to a real collection instead of
-// memoizing a nil series.
-func TestPrefixWindowingSurvivesShortParent(t *testing.T) {
-	dir := t.TempDir()
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := workloads.Lookup("genome")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := machine.HaswellDesktop()
-	// An honest 2-sample series filed under a MaxCores-4 key.
-	honest := newTestService(t, Config{})
-	short, _, err := honest.Series(bg, w, m, 2, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Put(seriesKey(w.Name(), m.Name, 4, 0.05), short); err != nil {
-		t.Fatal(err)
-	}
-
-	var sims atomic.Int64
-	svc := newTestService(t, Config{CacheDir: dir, CollectSample: countingCollector(&sims)})
-	// Load the lying entry into the memo via its exact key.
-	if _, _, err := svc.Series(bg, w, m, 4, 0.05); err != nil {
-		t.Fatal(err)
-	}
-	// The 1..3 request matches the lying parent in the memo but cannot be
-	// windowed from it; it must collect (or window the 2-sample store
-	// entry? no — 2 < 3) and succeed.
-	got, _, err := svc.Series(bg, w, m, 3, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got == nil || len(got.Samples) != 3 {
-		t.Fatalf("short-parent fallback returned %+v", got)
-	}
-	if sims.Load() == 0 {
-		t.Error("unwindowable parent should have forced a real collection")
-	}
-	// And the result is not poisoned: a repeat answers the same series.
-	again, _, err := svc.Series(bg, w, m, 3, 0.05)
-	if err != nil || again != got {
-		t.Errorf("repeat after fallback: %v (pointer equal: %v)", err, again == got)
+		t.Error("replayed series differs from the collected prefix")
 	}
 }
 

@@ -149,7 +149,7 @@ func (s *Service) Predict(ctx context.Context, req PredictRequest) (*PredictResp
 		if dataScale <= 0 {
 			dataScale = 1
 		}
-		act, _, err := s.series(ctx, w, tm, tm.NumCores(), scale*dataScale)
+		act, _, err := s.series(ctx, w, tm, sim.CoreRange(tm.NumCores()), scale*dataScale)
 		if err != nil {
 			return nil, err
 		}

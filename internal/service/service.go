@@ -3,12 +3,11 @@ package service
 import (
 	"context"
 	"runtime"
-	"sync"
 
 	"repro/internal/counters"
 	"repro/internal/flight"
 	"repro/internal/machine"
-	"repro/internal/sched"
+	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/store"
@@ -17,9 +16,9 @@ import (
 
 // Config configures a Service instance.
 type Config struct {
-	// CacheDir, when set, persists every contiguous-schedule measurement
-	// series in an internal/store cache there, so repeated requests across
-	// processes replay measurements instead of re-simulating.
+	// CacheDir, when set, persists every measured sample in an
+	// internal/store cache there, so repeated requests across processes
+	// replay measurements instead of re-simulating.
 	CacheDir string
 	// Workers bounds concurrent simulations service-wide and is the default
 	// worker count of each prediction's fitting/bootstrap pools. 0 means
@@ -41,9 +40,9 @@ type Service struct {
 	store *store.Store
 	sem   chan struct{}
 
-	// memo shares in-flight collections and keeps completed series for
+	// memo shares in-flight simulations and keeps completed samples for
 	// repeat requests; persistence is the store's job, so it is bounded.
-	memo *flight.Group[store.Key, memoSeries]
+	memo *flight.Group[store.SampleKey, memoSample]
 	// fits is the sweep planner's fitted-model memo; see planner.go.
 	fits *flight.Group[string, fitResult]
 	// fitHook, when set (by tests, before first use), observes every fit
@@ -51,11 +50,10 @@ type Service struct {
 	fitHook func(artifactKey string)
 }
 
-// memoSeries is one series memo value: the series, and whether it was
-// replayed (from the store or a longer memoized series) rather than
-// simulated.
-type memoSeries struct {
-	series *counters.Series
+// memoSample is one sample memo value: the sample, and whether it was
+// replayed from the store rather than simulated.
+type memoSample struct {
+	sample counters.Sample
 	hit    bool
 }
 
@@ -74,7 +72,7 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:  cfg,
 		sem:  make(chan struct{}, cfg.Workers),
-		memo: flight.New[store.Key, memoSeries](memoLimit),
+		memo: flight.New[store.SampleKey, memoSample](memoLimit),
 		fits: flight.New[string, fitResult](DefaultFitCacheSize),
 	}
 	if cfg.CacheDir != "" {
@@ -106,7 +104,8 @@ func resolve(workload, mach string) (sim.Workload, *machine.Config, error) {
 	return w, m, nil
 }
 
-// seriesKey is the store (and memo) key of a contiguous 1..maxCores series.
+// seriesKey is the store key of the contiguous 1..maxCores window, the
+// measurement identity behind the planner's fit memo.
 //
 //estima:canonical workload mach
 func seriesKey(workload, mach string, maxCores int, scale float64) store.Key {
@@ -114,133 +113,80 @@ func seriesKey(workload, mach string, maxCores int, scale float64) store.Key {
 		Scale: scale, Engine: sim.EngineVersion}
 }
 
-// series measures workload on machine over the contiguous 1..maxCores
-// schedule at the given effective scale: memoized in process (concurrent
-// requests share one simulation), persisted through the store when one is
-// configured. hit reports a replay rather than a simulation. Cancelling ctx
-// detaches this caller; the shared collection itself is cancelled only once
-// no caller is left waiting on it, so one client's disconnect never fails
-// another's request.
-func (s *Service) series(ctx context.Context, w sim.Workload, m *machine.Config, maxCores int, scale float64) (*counters.Series, bool, error) {
+// memoLimit bounds the sample memo (entries): as many samples as 256
+// series of the largest preset machine (48 cores). The memo exists to
+// share in-flight simulations and give repeat requests a fast path;
+// long-term persistence is the disk store's job, so a long-running daemon
+// must not grow without bound as clients vary the (workload, machine,
+// scale) input. Least recently used samples go first.
+const memoLimit = 256 * 48
+
+// series measures workload on machine at each core count of the schedule
+// (distinct counts, any order) at the given effective scale and returns
+// the samples as a series ordered by core count. Each sample is memoized
+// in process (concurrent requests share one simulation) and persisted
+// through the store when one is configured, so only core counts neither
+// holds are simulated. hit reports that every sample was replayed from the
+// store. Cancelling ctx detaches this caller; a shared simulation is
+// cancelled only once no caller is left waiting on it, so one client's
+// disconnect never fails another's request.
+func (s *Service) series(ctx context.Context, w sim.Workload, m *machine.Config, cores []int, scale float64) (*counters.Series, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
-	key := seriesKey(w.Name(), m.Name, maxCores, scale)
-	if v, ok := s.memo.Get(key); ok {
-		return v.series, v.hit, nil
-	}
-	v, err := s.memo.Do(ctx, key, func(ctx context.Context) (memoSeries, error) {
-		return s.measure(ctx, key, w, m, scale)
-	})
-	return v.series, v.hit, err
-}
-
-// measure produces the series memo value for key: windowed from a longer
-// memoized or stored series of the same input when one exists, else
-// simulated and stored.
-func (s *Service) measure(ctx context.Context, key store.Key, w sim.Workload, m *machine.Config, scale float64) (memoSeries, error) {
-	// Every sample is collected independently, so the 1..K prefix of a
-	// 1..N series (N > K) is byte-identical to collecting 1..K afresh. A
-	// series windowed from the memo inherits its parent's hit flag, exactly
-	// what a caller joining the parent would have seen.
-	if win, hit := s.memoPrefix(key, m.NumCores()); win != nil {
-		go s.store.Put(key, win) // best-effort, off the waiters' path
-		return memoSeries{win, hit}, nil
-	}
-	if cached, ok := s.store.Get(ctx, key); ok {
-		return memoSeries{cached, true}, nil
-	}
-	if parent, ok := s.store.FindPrefix(ctx, key); ok {
-		if win := windowSeries(parent, key.MaxCores); win != nil {
-			s.store.Put(key, win)
-			return memoSeries{win, true}, nil
-		}
-	}
-	ser, err := s.collect(ctx, w, m, sim.CoreRange(key.MaxCores), scale)
-	if err == nil {
-		s.store.Put(key, ser) // best-effort; a bad cache dir must not fail runs
-	}
-	return memoSeries{series: ser}, err
-}
-
-// memoPrefix windows key's schedule out of the shortest memoized series of
-// the same input that is longer than it, reporting that series' hit flag;
-// nil when there is none, or when it cannot actually be windowed (a
-// corrupted store file can load fewer samples than its key claims). No
-// series is longer than its machine, so the search stops at maxCores.
-func (s *Service) memoPrefix(key store.Key, maxCores int) (*counters.Series, bool) {
-	for k := key; k.MaxCores < maxCores; {
-		k.MaxCores++
-		if v, ok := s.memo.Get(k); ok {
-			return windowSeries(v.series, key.MaxCores), v.hit
-		}
-	}
-	return nil, false
-}
-
-// windowSeries returns the 1..maxCores prefix of a longer series as a new
-// series, or nil when the parent does not actually start with that
-// contiguous schedule (a corrupted store entry must fall back to
-// collection). Samples are shared, never copied: series are immutable.
-func windowSeries(parent *counters.Series, maxCores int) *counters.Series {
-	if parent == nil || len(parent.Samples) < maxCores {
-		return nil
-	}
-	for i := 0; i < maxCores; i++ {
-		if parent.Samples[i].Cores != i+1 {
-			return nil
-		}
-	}
-	return &counters.Series{
-		Workload: parent.Workload,
-		Machine:  parent.Machine,
-		Scale:    parent.Scale,
-		Samples:  parent.Samples[:maxCores:maxCores],
-	}
-}
-
-// memoLimit bounds the series memo (entries). The memo exists to share
-// in-flight collections and give repeat requests a pointer-stable fast
-// path; long-term persistence is the disk store's job, so a long-running
-// daemon must not grow without bound as clients vary the (workload,
-// machine, cores, scale) tuple. Least recently used series go first.
-const memoLimit = 256
-
-// collect runs one measurement per core count across the service-wide
-// simulation semaphore. Samples land at their schedule index, so the
-// resulting series is deterministic for any concurrency.
-func (s *Service) collect(ctx context.Context, w sim.Workload, m *machine.Config, cores []int, scale float64) (*counters.Series, error) {
-	samples := make([]counters.Sample, len(cores))
+	name := w.Name()
+	vals := make([]memoSample, len(cores))
 	errs := make([]error, len(cores))
-	var wg sync.WaitGroup
+	keys := make([]store.SampleKey, len(cores))
+	var missing []int
 	for i, c := range cores {
-		wg.Add(1)
-		go func(i, c int) {
-			defer wg.Done()
-			select {
-			case s.sem <- struct{}{}:
-			case <-ctx.Done():
-				errs[i] = ctx.Err()
-				return
-			}
-			defer func() { <-s.sem }()
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				return
-			}
-			samples[i], errs[i] = s.cfg.CollectSample(w, m, c, scale)
-		}(i, c)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+		keys[i] = store.SampleKey{Workload: name, Machine: m.Name, Scale: scale, Engine: sim.EngineVersion, Cores: c}
+		var ok bool
+		if vals[i], ok = s.memo.Get(keys[i]); !ok {
+			missing = append(missing, i)
 		}
 	}
-	ser := &counters.Series{Workload: w.Name(), Machine: m.Name, Scale: scale,
-		Samples: samples}
+	pool.ForN(len(missing), s.cfg.Workers, func(j int) {
+		i := missing[j]
+		vals[i], errs[i] = s.memo.Do(ctx, keys[i], func(ctx context.Context) (memoSample, error) {
+			return s.measure(ctx, keys[i], w, m)
+		})
+	})
+	ser := &counters.Series{Workload: name, Machine: m.Name, Scale: scale,
+		Samples: make([]counters.Sample, len(cores))}
+	hit := true
+	for i, v := range vals {
+		if errs[i] != nil {
+			return nil, false, errs[i]
+		}
+		ser.Samples[i], hit = v.sample, hit && v.hit
+	}
 	ser.Sort()
-	return ser, nil
+	return ser, hit, nil
+}
+
+// measure produces one sample memo value: replayed from the store, else
+// simulated under the service-wide semaphore and stored.
+func (s *Service) measure(ctx context.Context, k store.SampleKey, w sim.Workload, m *machine.Config) (memoSample, error) {
+	if smp, ok := s.store.GetSample(ctx, k); ok {
+		return memoSample{smp, true}, nil
+	}
+	select {
+	case s.sem <- struct{}{}:
+	case <-ctx.Done():
+		return memoSample{}, ctx.Err()
+	}
+	if err := ctx.Err(); err != nil {
+		<-s.sem
+		return memoSample{}, err
+	}
+	smp, err := s.cfg.CollectSample(w, m, k.Cores, k.Scale)
+	<-s.sem
+	if err != nil {
+		return memoSample{}, err
+	}
+	s.store.PutSample(k, smp) // best-effort; a bad cache dir must not fail runs
+	return memoSample{sample: smp}, nil
 }
 
 // Series is the in-process fast path behind Collect: measure (or replay
@@ -249,7 +195,7 @@ func (s *Service) collect(ctx context.Context, w sim.Workload, m *machine.Config
 // simulation semaphore. The experiment harness and other library callers
 // use it to skip the JSON round trip of a CollectRequest.
 func (s *Service) Series(ctx context.Context, w sim.Workload, m *machine.Config, maxCores int, scale float64) (*counters.Series, bool, error) {
-	return s.series(ctx, w, m, maxCores, scale)
+	return s.series(ctx, w, m, sim.CoreRange(maxCores), scale)
 }
 
 // List answers a ListRequest: every registered workload and machine preset.
@@ -315,8 +261,7 @@ func machineFamilies() []FamilyInfo {
 }
 
 // Collect answers a CollectRequest: measure (or replay from the store) one
-// series. Contiguous 1..N schedules go through the store and memo; sparse
-// schedules are collected directly, as the store is not keyed by them.
+// series over any core schedule.
 func (s *Service) Collect(ctx context.Context, req CollectRequest) (*CollectResponse, error) {
 	if err := checkVersion(req.APIVersion); err != nil {
 		return nil, err
@@ -329,16 +274,7 @@ func (s *Service) Collect(ctx context.Context, req CollectRequest) (*CollectResp
 	if err != nil {
 		return nil, err
 	}
-	scale := defaultScale(req.Scale)
-	var (
-		ser *counters.Series
-		hit bool
-	)
-	if sched.ContiguousFromOne(cores) {
-		ser, hit, err = s.series(ctx, w, m, len(cores), scale)
-	} else {
-		ser, err = s.collect(ctx, w, m, cores, scale)
-	}
+	ser, hit, err := s.series(ctx, w, m, cores, defaultScale(req.Scale))
 	if err != nil {
 		return nil, err
 	}
@@ -358,35 +294,14 @@ func (s *Service) Collect(ctx context.Context, req CollectRequest) (*CollectResp
 	}, nil
 }
 
-// Curve answers a CurveRequest: the raw measured curves, never persisted.
+// Curve answers a CurveRequest: Collect without the cache fields.
 func (s *Service) Curve(ctx context.Context, req CurveRequest) (*CurveResponse, error) {
-	if err := checkVersion(req.APIVersion); err != nil {
-		return nil, err
-	}
-	w, m, err := resolve(req.Workload, req.Machine)
+	c, err := s.Collect(ctx, CollectRequest(req))
 	if err != nil {
 		return nil, err
 	}
-	cores, err := parseCores(req.Cores, m.NumCores())
-	if err != nil {
-		return nil, err
-	}
-	ser, err := s.collect(ctx, w, m, cores, defaultScale(req.Scale))
-	if err != nil {
-		return nil, err
-	}
-	doc, err := counters.EncodeSeries(ser)
-	if err != nil {
-		return nil, err
-	}
-	return &CurveResponse{
-		APIVersion: APIVersion,
-		Workload:   ser.Workload,
-		Machine:    ser.Machine,
-		Samples:    len(ser.Samples),
-		Series:     doc,
-		Decoded:    ser,
-	}, nil
+	return &CurveResponse{APIVersion: c.APIVersion, Workload: c.Workload, Machine: c.Machine,
+		Samples: c.Samples, Series: c.Series, Decoded: c.Decoded}, nil
 }
 
 // defaultScale maps the zero value to the paper's full-size datasets.

@@ -100,6 +100,14 @@ func TestRequestValidation(t *testing.T) {
 			_, err := svc.Curve(bg, CurveRequest{Workload: "intruder", Machine: "Haswell", Cores: "x"})
 			return err
 		}, "bad core count"},
+		{"collect core listed twice", func() error {
+			_, err := svc.Collect(bg, CollectRequest{Workload: "intruder", Machine: "Haswell", Cores: "1-4,1-4"})
+			return err
+		}, "core count 1 listed twice"},
+		{"curve core listed twice", func() error {
+			_, err := svc.Curve(bg, CurveRequest{Workload: "intruder", Machine: "Haswell", Cores: "1,3,2-3"})
+			return err
+		}, "core count 3 listed twice"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -170,8 +178,8 @@ func TestSeriesMemoizationAndStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first != second {
-		t.Error("in-process memoization should return the same series pointer")
+	if !reflect.DeepEqual(first, second) {
+		t.Error("memoized series differs from the collected one")
 	}
 	if calls.Load() != 4 {
 		t.Errorf("memoized read re-ran the simulator (%d calls)", calls.Load())

@@ -1,18 +1,21 @@
-// Package store persists collected measurement series on disk so the
-// expensive "measure at few cores" phase of ESTIMA runs once per
-// (workload, machine, cores, scale, engine) and is replayed from cache by
-// every later prediction, experiment or benchmark process.
+// Package store persists measured samples on disk so the expensive
+// "measure at few cores" phase of ESTIMA simulates each sample once per
+// (workload, machine, scale, engine, core count) and every later
+// prediction, experiment or benchmark process replays it from cache. A
+// series of any core schedule — a 1..K window, its 1..N comparison, a
+// sparse "1,3" — is assembled from the samples of its core counts, so
+// schedules that overlap share their stored samples.
 //
-// The cache is content-addressed: the key's canonical form is hashed into
-// the file name, and each file embeds the key it was written for, so a
-// read verifies it got the series it asked for. Writes are atomic
-// (temp file + rename) and reads are corruption-tolerant — a truncated,
-// garbled or mismatched file is treated as a miss (and removed best-effort)
-// rather than an error, falling back to re-collection.
+// The cache is content-addressed: a sample key's canonical form is hashed
+// into the file name, and each file embeds the format version and the key
+// it was written for, so a read verifies it got the sample it asked for.
+// Writes are atomic (temp file + rename) and reads are corruption-tolerant
+// — a truncated, garbled, mismatched or other-format file is treated as a
+// miss rather than an error, falling back to re-collection, whose write
+// replaces it.
 package store
 
 import (
-	"bufio"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -20,14 +23,18 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 
 	"repro/internal/counters"
 )
 
-// Key identifies one collected measurement series.
-type Key struct {
+// format is the version of the on-disk sample envelope. Bump it whenever
+// the envelope or the sample encoding changes: files of any other version
+// read as misses and are re-collected.
+const format = 2
+
+// SampleKey identifies one measured sample.
+type SampleKey struct {
 	// Workload and Machine name the simulated benchmark and machine in
 	// canonical spec form (internal/spec): a bare name for an all-defaults
 	// scenario, `family?key=val,...` for a parameterized variant. Callers
@@ -35,37 +42,60 @@ type Key struct {
 	// so equivalent spellings of one scenario share a single cache entry.
 	Workload string `json:"workload"`
 	Machine  string `json:"machine"`
-	// MaxCores is the top of the measured 1..MaxCores schedule.
-	MaxCores int `json:"max_cores"`
-	// Scale is the effective dataset scale of the runs.
+	// Scale is the effective dataset scale of the run.
 	Scale float64 `json:"scale"`
 	// Engine is the collector's version tag (sim.EngineVersion for the
 	// simulator; perf-based collectors use their own), so engine changes
-	// invalidate cached series.
+	// invalidate cached samples.
 	Engine string `json:"engine"`
+	// Cores is the measured core count.
+	Cores int `json:"cores"`
 }
 
-// id returns the canonical string form of the key.
-func (k Key) id() string {
-	return k.Workload + "\x00" + k.Machine + "\x00" + strconv.Itoa(k.MaxCores) +
-		"\x00" + strconv.FormatFloat(k.Scale, 'g', -1, 64) + "\x00" + k.Engine
+// Hash returns the sample's content address: the hex SHA-256 of its
+// canonical form, which doubles as the cache file's base name.
+func (k SampleKey) Hash() string {
+	return hash(k.Workload + "\x00" + k.Machine + "\x00" + strconv.FormatFloat(k.Scale, 'g', -1, 64) +
+		"\x00" + k.Engine + "\x00" + strconv.Itoa(k.Cores))
 }
 
-// Hash returns the key's content address: the hex SHA-256 of its canonical
-// form, which doubles as the cache file's base name.
+// Key identifies the contiguous measurement window 1..MaxCores of one
+// input; its fields mean what SampleKey's do.
+type Key struct {
+	Workload string  `json:"workload"`
+	Machine  string  `json:"machine"`
+	MaxCores int     `json:"max_cores"`
+	Scale    float64 `json:"scale"`
+	Engine   string  `json:"engine"`
+}
+
+// Hash returns the window's content address, the hex SHA-256 of its
+// canonical form.
 func (k Key) Hash() string {
-	sum := sha256.Sum256([]byte(k.id()))
+	return hash(k.Workload + "\x00" + k.Machine + "\x00" + strconv.Itoa(k.MaxCores) +
+		"\x00" + strconv.FormatFloat(k.Scale, 'g', -1, 64) + "\x00" + k.Engine)
+}
+
+// sample returns the key of the window's sample at the given core count.
+func (k Key) sample(cores int) SampleKey {
+	return SampleKey{Workload: k.Workload, Machine: k.Machine, Scale: k.Scale, Engine: k.Engine, Cores: cores}
+}
+
+func hash(id string) string {
+	sum := sha256.Sum256([]byte(id))
 	return hex.EncodeToString(sum[:])
 }
 
-// fileJSON is the on-disk envelope: the key the series was collected for
-// plus the versioned series document (counters.EncodeSeries bytes).
+// fileJSON is the on-disk envelope of one sample: the format version, the
+// key it was measured for, and the sample as a one-sample versioned series
+// document (counters.EncodeSeries bytes).
 type fileJSON struct {
-	Key    Key             `json:"key"`
+	Format int             `json:"format"`
+	Key    SampleKey       `json:"key"`
 	Series json.RawMessage `json:"series"`
 }
 
-// Store is an on-disk series cache rooted at one directory. A nil *Store is
+// Store is an on-disk sample cache rooted at one directory. A nil *Store is
 // valid and behaves as an always-miss, discard-writes cache, so callers can
 // thread an optional store without nil checks.
 type Store struct {
@@ -91,48 +121,40 @@ func (st *Store) Dir() string {
 	return st.dir
 }
 
-func (st *Store) path(k Key) string {
-	return filepath.Join(st.dir, k.Hash()+".json")
-}
-
-// Get returns the cached series for the key, or (nil, false) on a miss.
-// Unreadable, corrupted or key-mismatched files count as misses; the bad
-// file is removed best-effort so the next Put can replace it cleanly. A
-// cancelled ctx also reads as a miss — GetOrCollect turns it into the
-// context's error before any collection starts.
-func (st *Store) Get(ctx context.Context, k Key) (*counters.Series, bool) {
+// GetSample returns the cached sample for the key, or false on a miss.
+// Unreadable, corrupted, other-format or key-mismatched files count as
+// misses, and so does every read under a cancelled ctx.
+func (st *Store) GetSample(ctx context.Context, k SampleKey) (counters.Sample, bool) {
 	if st == nil || ctx.Err() != nil {
-		return nil, false
+		return counters.Sample{}, false
 	}
-	path := st.path(k)
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(filepath.Join(st.dir, k.Hash()+".json"))
 	if err != nil {
-		return nil, false
+		return counters.Sample{}, false
 	}
 	var env fileJSON
-	if err := json.Unmarshal(data, &env); err != nil || env.Key != k {
-		os.Remove(path)
-		return nil, false
+	if err := json.Unmarshal(data, &env); err != nil || env.Format != format || env.Key != k {
+		return counters.Sample{}, false
 	}
 	s, err := counters.DecodeSeries(env.Series)
-	if err != nil {
-		os.Remove(path)
-		return nil, false
+	if err != nil || len(s.Samples) != 1 || s.Samples[0].Cores != k.Cores {
+		return counters.Sample{}, false
 	}
-	return s, true
+	return s.Samples[0], true
 }
 
-// Put atomically writes the series under the key. A nil store discards the
-// write.
-func (st *Store) Put(k Key, s *counters.Series) error {
+// PutSample atomically writes the sample under the key. A nil store
+// discards the write.
+func (st *Store) PutSample(k SampleKey, smp counters.Sample) error {
 	if st == nil {
 		return nil
 	}
-	doc, err := counters.EncodeSeries(s)
+	doc, err := counters.EncodeSeries(&counters.Series{Workload: k.Workload, Machine: k.Machine,
+		Scale: k.Scale, Samples: []counters.Sample{smp}})
 	if err != nil {
 		return err
 	}
-	data, err := json.MarshalIndent(&fileJSON{Key: k, Series: doc}, "", "  ")
+	data, err := json.Marshal(&fileJSON{Format: format, Key: k, Series: doc})
 	if err != nil {
 		return fmt.Errorf("store: encoding entry: %w", err)
 	}
@@ -146,161 +168,43 @@ func (st *Store) Put(k Key, s *counters.Series) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store: writing entry: %w", firstErr(werr, cerr))
 	}
-	if err := os.Rename(tmp.Name(), st.path(k)); err != nil {
+	if err := os.Rename(tmp.Name(), filepath.Join(st.dir, k.Hash()+".json")); err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store: %w", err)
 	}
 	return nil
 }
 
-// FindPrefix looks for a cached series that contains k's schedule as a
-// prefix: same workload, machine, scale and engine but a larger MaxCores.
-// Contiguous 1..N schedules are supersets of every shorter 1..K schedule and
-// each sample is collected independently, so windowing the longer series is
-// byte-identical to collecting the shorter one — the caller (the service's
-// collection layer) does the windowing. When several candidates exist the
-// one with the smallest MaxCores is returned, so the choice is
-// deterministic. The scan reads only each file's leading key envelope (Put
-// writes the key before the series payload), so it stays cheap even over a
-// store full of large series; like Get, unreadable files are skipped.
-func (st *Store) FindPrefix(ctx context.Context, k Key) (*counters.Series, bool) {
-	if st == nil || ctx.Err() != nil {
-		return nil, false
-	}
-	names, err := filepath.Glob(filepath.Join(st.dir, "*.json"))
-	if err != nil {
-		return nil, false
-	}
-	best := Key{}
-	for _, name := range names {
-		if ctx.Err() != nil {
+// Get returns the window's series assembled from its stored samples, or
+// (nil, false) if any of them is missing.
+func (st *Store) Get(ctx context.Context, k Key) (*counters.Series, bool) {
+	s := &counters.Series{Workload: k.Workload, Machine: k.Machine, Scale: k.Scale}
+	for c := 1; c <= k.MaxCores; c++ {
+		smp, ok := st.GetSample(ctx, k.sample(c))
+		if !ok {
 			return nil, false
 		}
-		c, ok := readKeyEnvelope(name)
-		if !ok {
-			continue
-		}
-		if c.Workload != k.Workload || c.Machine != k.Machine ||
-			c.Scale != k.Scale || c.Engine != k.Engine || c.MaxCores <= k.MaxCores {
-			continue
-		}
-		if best.MaxCores == 0 || c.MaxCores < best.MaxCores {
-			best = c
-		}
+		s.Samples = append(s.Samples, smp)
 	}
-	if best.MaxCores == 0 {
-		return nil, false
-	}
-	return st.Get(ctx, best)
+	return s, true
 }
 
-// readKeyEnvelope decodes just the key of a cache file. The envelope's
-// fields stream in written order and "key" comes first, so the decoder
-// stops after a few hundred bytes instead of materializing the series
-// payload; a foreign field order is skipped over field by field.
-func readKeyEnvelope(path string) (Key, bool) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Key{}, false
-	}
-	defer f.Close()
-	dec := json.NewDecoder(bufio.NewReaderSize(f, 4<<10))
-	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
-		return Key{}, false
-	}
-	for dec.More() {
-		name, err := dec.Token()
-		if err != nil {
-			return Key{}, false
+// Put stores every sample of s under k's input at the sample's own core
+// count (k.MaxCores plays no part). A nil store discards the writes.
+func (st *Store) Put(k Key, s *counters.Series) error {
+	for _, smp := range s.Samples {
+		if err := st.PutSample(k.sample(smp.Cores), smp); err != nil {
+			return err
 		}
-		field, ok := name.(string)
-		if !ok {
-			return Key{}, false
-		}
-		if field == "key" {
-			var k Key
-			if err := dec.Decode(&k); err != nil {
-				return Key{}, false
-			}
-			return k, true
-		}
-		var skip json.RawMessage
-		if err := dec.Decode(&skip); err != nil {
-			return Key{}, false
-		}
-	}
-	return Key{}, false
-}
-
-// Delete evicts one entry. Deleting an absent entry is not an error.
-func (st *Store) Delete(k Key) error {
-	if st == nil {
-		return nil
-	}
-	if err := os.Remove(st.path(k)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("store: %w", err)
 	}
 	return nil
 }
 
-// Len returns the number of cached entries.
-func (st *Store) Len() int {
-	if st == nil {
-		return 0
-	}
-	names, _ := filepath.Glob(filepath.Join(st.dir, "*.json"))
-	return len(names)
-}
-
-// Prune evicts the oldest entries (by modification time) until at most
-// keepNewest remain, returning how many were removed.
-func (st *Store) Prune(keepNewest int) (int, error) {
-	if st == nil || keepNewest < 0 {
-		return 0, nil
-	}
-	names, err := filepath.Glob(filepath.Join(st.dir, "*.json"))
-	if err != nil {
-		return 0, fmt.Errorf("store: %w", err)
-	}
-	type aged struct {
-		name string
-		mod  int64
-	}
-	entries := make([]aged, 0, len(names))
-	for _, name := range names {
-		fi, err := os.Stat(name)
-		if err != nil {
-			continue
-		}
-		entries = append(entries, aged{name, fi.ModTime().UnixNano()})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].mod > entries[j].mod })
-	removed := 0
-	for _, e := range entries[min(keepNewest, len(entries)):] {
-		if err := os.Remove(e.name); err == nil {
-			removed++
-		}
-	}
-	return removed, nil
-}
-
-// GetOrCollect returns the cached series for the key, or runs collect and
-// caches its result. hit reports whether the series came from the cache.
-// Cache write failures are not fatal: the freshly collected series is still
-// returned. A done ctx short-circuits before any read or collection.
-func (st *Store) GetOrCollect(ctx context.Context, k Key, collect func(context.Context) (*counters.Series, error)) (s *counters.Series, hit bool, err error) {
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	if s, ok := st.Get(ctx, k); ok {
-		return s, true, nil
-	}
-	s, err = collect(ctx)
-	if err != nil {
-		return nil, false, err
-	}
-	st.Put(k, s) // best-effort; a read-only cache dir must not fail the run
-	return s, false, nil
+// FindPrefix is Get.
+//
+// Deprecated: samples are stored individually, so every window is a Get.
+func (st *Store) FindPrefix(ctx context.Context, k Key) (*counters.Series, bool) {
+	return st.Get(ctx, k)
 }
 
 func firstErr(errs ...error) error {

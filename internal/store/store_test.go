@@ -2,12 +2,11 @@ package store
 
 import (
 	"context"
-	"errors"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/counters"
 )
@@ -17,7 +16,7 @@ import (
 var ctx = context.Background()
 
 func sampleSeries(workload string, cores int) *counters.Series {
-	s := &counters.Series{Workload: workload, Machine: "Opteron"}
+	s := &counters.Series{Workload: workload, Machine: "Opteron", Scale: 0.5}
 	for c := 1; c <= cores; c++ {
 		s.Samples = append(s.Samples, counters.Sample{
 			Cores: c, Seconds: 1.0 / float64(c), Cycles: 2.1e9 / float64(c),
@@ -30,6 +29,11 @@ func sampleSeries(workload string, cores int) *counters.Series {
 
 func testKey(workload string) Key {
 	return Key{Workload: workload, Machine: "Opteron", MaxCores: 4, Scale: 0.5, Engine: "sim-test"}
+}
+
+// samplePath is where the store files k's sample at the given core count.
+func samplePath(st *Store, k Key, cores int) string {
+	return filepath.Join(st.Dir(), k.sample(cores).Hash()+".json")
 }
 
 func TestStoreHitMissRoundTrip(t *testing.T) {
@@ -52,7 +56,24 @@ func TestStoreHitMissRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("cached series differs:\nwant %+v\ngot  %+v", want, got)
 	}
-	// A different key (same workload, different scale) is a distinct entry.
+	// Every sample is its own entry: a shorter window and each sample
+	// read back alone.
+	short := k
+	short.MaxCores = 2
+	if got, ok := st.Get(ctx, short); !ok || !reflect.DeepEqual(got.Samples, want.Samples[:2]) {
+		t.Error("the 1..2 window of a stored 1..4 window should hit")
+	}
+	for _, smp := range want.Samples {
+		if got, ok := st.GetSample(ctx, k.sample(smp.Cores)); !ok || !reflect.DeepEqual(got, smp) {
+			t.Errorf("sample at %d cores did not round-trip", smp.Cores)
+		}
+	}
+	// A longer window misses, and so does a different input.
+	long := k
+	long.MaxCores = 5
+	if _, ok := st.Get(ctx, long); ok {
+		t.Error("a window with an unstored sample should miss")
+	}
 	other := k
 	other.Scale = 1
 	if _, ok := st.Get(ctx, other); ok {
@@ -80,6 +101,13 @@ func TestKeyHashStableAndDistinct(t *testing.T) {
 		}
 		seen[h] = variant
 	}
+	samples := map[string]bool{}
+	for c := 1; c <= 4; c++ {
+		samples[k.sample(c).Hash()] = true
+	}
+	if len(samples) != 4 {
+		t.Errorf("4 core counts hashed to %d distinct sample addresses", len(samples))
+	}
 }
 
 func TestStoreCorruptedFileFallsBackToCollection(t *testing.T) {
@@ -91,28 +119,25 @@ func TestStoreCorruptedFileFallsBackToCollection(t *testing.T) {
 	if err := st.Put(k, sampleSeries("yada", 4)); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the cache file in place (e.g. a crashed writer or disk error).
-	path := filepath.Join(st.Dir(), k.Hash()+".json")
-	if err := os.WriteFile(path, []byte(`{"key": {"workload": "ya`), 0o644); err != nil {
+	// Corrupt one sample file in place (e.g. a crashed writer or disk error).
+	if err := os.WriteFile(samplePath(st, k, 3), []byte(`{"format":2,"key":{"workload":"ya`), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	if _, ok := st.GetSample(ctx, k.sample(3)); ok {
+		t.Fatal("corrupted sample should read as a miss")
+	}
 	if _, ok := st.Get(ctx, k); ok {
-		t.Fatal("corrupted entry should read as a miss")
+		t.Fatal("a window with a corrupted sample should read as a miss")
 	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Error("corrupted entry should have been removed")
+	if _, ok := st.GetSample(ctx, k.sample(2)); !ok {
+		t.Error("corruption of one sample must not cost its neighbours")
 	}
-	// GetOrCollect re-collects and repopulates instead of erroring.
-	collected := 0
-	got, hit, err := st.GetOrCollect(ctx, k, func(context.Context) (*counters.Series, error) {
-		collected++
-		return sampleSeries("yada", 4), nil
-	})
-	if err != nil || hit || collected != 1 || got == nil {
-		t.Fatalf("after corruption: got=%v hit=%v collected=%d err=%v", got != nil, hit, collected, err)
+	// Re-collection repopulates instead of erroring.
+	if err := st.PutSample(k.sample(3), sampleSeries("yada", 4).Samples[2]); err != nil {
+		t.Fatal(err)
 	}
 	if _, ok := st.Get(ctx, k); !ok {
-		t.Error("re-collection should have repopulated the cache")
+		t.Error("re-collection should have repaired the window")
 	}
 }
 
@@ -125,172 +150,92 @@ func TestStoreRejectsKeyMismatch(t *testing.T) {
 	if err := st.Put(k, sampleSeries("kmeans", 4)); err != nil {
 		t.Fatal(err)
 	}
-	// Move the entry to another key's address: the embedded key no longer
+	// Move a sample to another input's address: the embedded key no longer
 	// matches what the reader asked for, so it must miss.
 	other := testKey("ssca2")
-	if err := os.Rename(filepath.Join(st.Dir(), k.Hash()+".json"),
-		filepath.Join(st.Dir(), other.Hash()+".json")); err != nil {
+	if err := os.Rename(samplePath(st, k, 1), samplePath(st, other, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := st.Get(ctx, other); ok {
+	if _, ok := st.GetSample(ctx, other.sample(1)); ok {
 		t.Error("entry with mismatched embedded key should miss")
 	}
+	// And a sample filed under another core count of the same input.
+	if err := os.Rename(samplePath(st, k, 2), samplePath(st, k, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st.GetSample(ctx, k.sample(1)); ok {
+		t.Error("a sample filed under another core count should miss")
+	}
 }
 
-func TestGetOrCollectWarmCache(t *testing.T) {
+// A file in the previous store format — one whole series under a window
+// key — or an envelope of another format version, found at a sample's
+// path, reads as a miss and is never decoded as a sample; the next write
+// replaces it.
+func TestOtherFormatAtSamplePathIsAMiss(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := testKey("vacation-low")
-	calls := 0
-	collect := func(context.Context) (*counters.Series, error) {
-		calls++
-		return sampleSeries("vacation-low", 4), nil
-	}
-	first, hit, err := st.GetOrCollect(ctx, k, collect)
-	if err != nil || hit {
-		t.Fatalf("cold: hit=%v err=%v", hit, err)
-	}
-	second, hit, err := st.GetOrCollect(ctx, k, collect)
-	if err != nil || !hit {
-		t.Fatalf("warm: hit=%v err=%v", hit, err)
-	}
-	if calls != 1 {
-		t.Errorf("collector ran %d times, want 1", calls)
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Error("warm read differs from the collected series")
-	}
-}
-
-// FindPrefix must return the shortest cached superset series of a key's
-// schedule — and nothing when only unrelated or shorter entries exist.
-func TestFindPrefixReturnsShortestSuperset(t *testing.T) {
-	st, err := Open(t.TempDir())
+	k := testKey("genome")
+	k.MaxCores = 1
+	one := sampleSeries("genome", 1)
+	doc, err := counters.EncodeSeries(one)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := testKey("intruder") // MaxCores 4
-	if _, ok := st.FindPrefix(ctx, k); ok {
-		t.Fatal("empty store should have no prefix candidate")
-	}
-
-	put := func(cores int, mutate func(*Key)) Key {
-		kk := testKey("intruder")
-		kk.MaxCores = cores
-		if mutate != nil {
-			mutate(&kk)
-		}
-		if err := st.Put(kk, sampleSeries("intruder", cores)); err != nil {
-			t.Fatal(err)
-		}
-		return kk
-	}
-	put(2, nil)                                     // shorter: not a superset
-	put(6, func(k *Key) { k.Scale = 1 })            // superset but wrong scale
-	put(6, func(k *Key) { k.Engine = "sim-other" }) // superset but wrong engine
-	if _, ok := st.FindPrefix(ctx, k); ok {
-		t.Fatal("no qualifying superset yet, FindPrefix should miss")
-	}
-
-	put(12, nil)
-	put(8, nil)
-	got, ok := st.FindPrefix(ctx, k)
-	if !ok {
-		t.Fatal("superset entries exist, FindPrefix should hit")
-	}
-	if len(got.Samples) != 8 {
-		t.Errorf("FindPrefix returned the %d-core series, want the shortest superset (8)", len(got.Samples))
-	}
-	if got.Samples[3].Cores != 4 {
-		t.Errorf("superset sample 4 has %d cores", got.Samples[3].Cores)
-	}
-
-	// An exact-length entry is not a prefix candidate (Get's job).
-	exact := testKey("intruder")
-	if _, ok := st.FindPrefix(ctx, Key{Workload: exact.Workload, Machine: exact.Machine,
-		MaxCores: 12, Scale: exact.Scale, Engine: exact.Engine}); ok {
-		t.Error("MaxCores equal to the largest entry should miss")
-	}
-
-	// A cancelled context reads as a miss, like Get.
-	dead, cancel := context.WithCancel(ctx)
-	cancel()
-	if _, ok := st.FindPrefix(dead, k); ok {
-		t.Error("cancelled context should miss")
-	}
-}
-
-func TestStoreDeleteAndPrune(t *testing.T) {
-	st, err := Open(t.TempDir())
+	oldSeries, err := json.MarshalIndent(struct {
+		Key    Key             `json:"key"`
+		Series json.RawMessage `json:"series"`
+	}{k, doc}, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := []Key{testKey("a"), testKey("b"), testKey("c")}
-	for i, k := range keys {
-		if err := st.Put(k, sampleSeries(k.Workload, 2)); err != nil {
-			t.Fatal(err)
-		}
-		// Distinct mtimes so Prune's age order is deterministic.
-		old := time.Now().Add(time.Duration(i-len(keys)) * time.Hour)
-		if err := os.Chtimes(filepath.Join(st.Dir(), k.Hash()+".json"), old, old); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", st.Len())
-	}
-	if err := st.Delete(keys[1]); err != nil {
+	version1, err := json.Marshal(&fileJSON{Format: 1, Key: k.sample(1), Series: doc})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Delete(keys[1]); err != nil {
-		t.Error("double delete should be a no-op, got", err)
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{{"series-format file", oldSeries}, {"format 1 envelope", version1}} {
+		if err := os.WriteFile(samplePath(st, k, 1), c.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := st.GetSample(ctx, k.sample(1)); ok {
+			t.Errorf("%s read as a sample", c.name)
+		}
+		if _, ok := st.Get(ctx, k); ok {
+			t.Errorf("%s read as a window", c.name)
+		}
 	}
-	if st.Len() != 2 {
-		t.Fatalf("Len after delete = %d, want 2", st.Len())
+	if err := st.Put(k, one); err != nil {
+		t.Fatal(err)
 	}
-	removed, err := st.Prune(1)
-	if err != nil || removed != 1 {
-		t.Fatalf("Prune: removed=%d err=%v", removed, err)
-	}
-	// The newest entry (c) survives.
-	if _, ok := st.Get(ctx, keys[2]); !ok {
-		t.Error("prune evicted the newest entry")
-	}
-	if _, ok := st.Get(ctx, keys[0]); ok {
-		t.Error("prune kept the oldest entry")
+	if got, ok := st.Get(ctx, k); !ok || !reflect.DeepEqual(got, one) {
+		t.Error("a write should replace the other-format file")
 	}
 }
 
 func TestNilStoreIsAlwaysMiss(t *testing.T) {
 	var st *Store
 	k := testKey("nil")
-	if _, ok := st.Get(ctx, k); ok {
-		t.Error("nil store should miss")
-	}
 	if err := st.Put(k, sampleSeries("nil", 1)); err != nil {
 		t.Error("nil store Put should be a no-op, got", err)
 	}
-	if err := st.Delete(k); err != nil {
-		t.Error(err)
+	if _, ok := st.Get(ctx, k); ok {
+		t.Error("nil store should miss")
 	}
-	if st.Len() != 0 || st.Dir() != "" {
-		t.Error("nil store should be empty")
+	if _, ok := st.GetSample(ctx, k.sample(1)); ok {
+		t.Error("nil store should miss a sample")
 	}
-	calls := 0
-	_, hit, err := st.GetOrCollect(ctx, k, func(context.Context) (*counters.Series, error) {
-		calls++
-		return sampleSeries("nil", 1), nil
-	})
-	if err != nil || hit || calls != 1 {
-		t.Errorf("nil store GetOrCollect: hit=%v calls=%d err=%v", hit, calls, err)
+	if st.Dir() != "" {
+		t.Error("nil store should have no directory")
 	}
 }
 
-// A cancelled context must stop GetOrCollect before it reads the cache or
-// invokes the collector.
-func TestGetOrCollectHonorsContext(t *testing.T) {
+// A cancelled context reads as a miss without touching the entry.
+func TestGetHonorsContext(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -299,17 +244,14 @@ func TestGetOrCollectHonorsContext(t *testing.T) {
 	if err := st.Put(k, sampleSeries("cancelled", 2)); err != nil {
 		t.Fatal(err)
 	}
+	k.MaxCores = 2
 	done, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, ok := st.Get(done, k); ok {
 		t.Error("cancelled Get should miss")
 	}
-	_, hit, err := st.GetOrCollect(done, k, func(context.Context) (*counters.Series, error) {
-		t.Error("collector must not run under a cancelled context")
-		return nil, nil
-	})
-	if hit || !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled GetOrCollect: hit=%v err=%v, want context.Canceled", hit, err)
+	if _, ok := st.FindPrefix(done, k); ok {
+		t.Error("cancelled FindPrefix should miss")
 	}
 	// The entry is still there for a live context.
 	if _, ok := st.Get(ctx, k); !ok {
