@@ -19,10 +19,10 @@ func init() {
 }
 
 // table4Row computes one benchmark's banded errors on one machine. The full
-// series (the comparison truth) is collected first, so the planner serves
-// the measurement window as its prefix; the prediction itself is memoized
-// and shared with any other runner of the same scenario (table7's first
-// column re-reports it).
+// series (the comparison truth) is collected first, so the planner
+// assembles the measurement window from its samples; the prediction itself
+// is memoized and shared with any other runner of the same scenario
+// (table7's first column re-reports it).
 func table4Row(e *env, name string, m *machine.Config, measCores int, bands []core.ErrorBand) ([]core.ErrorBand, error) {
 	full, err := e.series(name, m, m.NumCores(), 1)
 	if err != nil {
