@@ -53,6 +53,9 @@ func TestRunExitCodes(t *testing.T) {
 		{"bad cores caught client-side", []string{"curve", "-w", "intruder", "-m", "Haswell", "-cores", "x"}, 1, "bad core count"},
 		{"diagnose typo suggestion", []string{"diagnose", "-w", "intrduer", "-m", "Haswell"}, 1, `did you mean "intruder"?`},
 		{"diagnose bad format", []string{"diagnose", "-w", "intruder", "-m", "Haswell", "-format", "xml"}, 1, "must be table or json"},
+		{"predict non-finite ci", []string{"predict", "-w", "genome", "-m", "Haswell", "-scale", "0.05", "-boot", "10", "-ci", "NaN"}, 1, "-ci NaN out of range (0, 100)"},
+		{"sweep non-finite ci", []string{"sweep", "-w", "genome", "-m", "Haswell", "-scale", "0.05", "-boot", "5", "-ci", "NaN"}, 1, "-ci NaN out of range (0, 100)"},
+		{"sweep non-finite scale", []string{"sweep", "-w", "genome", "-m", "Haswell", "-scale", "NaN"}, 1, "non-finite scale NaN"},
 		{"success", []string{"list"}, 0, ""},
 		{"help", []string{"help"}, 0, ""},
 	}

@@ -39,7 +39,7 @@ func cmdPredict(ctx context.Context, args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	if *boot > 0 && (*ci <= 0 || *ci >= 100) {
+	if *boot > 0 && !(*ci > 0 && *ci < 100) {
 		return fmt.Errorf("-ci %g out of range (0, 100)", *ci)
 	}
 	req := service.PredictRequest{

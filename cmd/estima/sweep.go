@@ -39,7 +39,7 @@ func cmdSweep(ctx context.Context, args []string) error {
 	default:
 		return fmt.Errorf("unknown format %q (want table, csv, json or ndjson)", *format)
 	}
-	if *boot > 0 && (*ci <= 0 || *ci >= 100) {
+	if *boot > 0 && !(*ci > 0 && *ci < 100) {
 		return fmt.Errorf("-ci %g out of range (0, 100)", *ci)
 	}
 	req := service.SweepRequest{

@@ -85,7 +85,7 @@ func (o Options) Validate() error {
 		return fmt.Errorf("core: negative worker count %d", o.Workers)
 	case o.Bootstrap < 0:
 		return fmt.Errorf("core: negative bootstrap count %d", o.Bootstrap)
-	case o.CILevel != 0 && (o.CILevel <= 0 || o.CILevel >= 100):
+	case o.CILevel != 0 && !(o.CILevel > 0 && o.CILevel < 100):
 		return fmt.Errorf("core: confidence level %g%% outside (0, 100)", o.CILevel)
 	case o.FreqRatio < 0:
 		return fmt.Errorf("core: negative frequency ratio %g", o.FreqRatio)

@@ -273,6 +273,9 @@ func TestOptionsValidateRejectsBadValues(t *testing.T) {
 		{CILevel: -10},
 		{CILevel: 100},
 		{CILevel: 250},
+		{CILevel: math.NaN()},
+		{CILevel: math.Inf(1)},
+		{CILevel: math.Inf(-1)},
 		{FreqRatio: -1},
 		{DatasetScale: -0.5},
 	}

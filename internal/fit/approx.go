@@ -172,6 +172,14 @@ func CandidateFits(xs, ys []float64, opt Options) ([]*Fit, error) {
 		}
 	}
 
+	// The realism filters' grids and limits depend only on the window and
+	// the options, so every candidate shares one set.
+	grid := realismGrid(math.Min(1, xs[0]), opt.MaxX)
+	var tailGrid, tailLimit []float64
+	if opt.TailSlopeCap > 0 {
+		tailGrid, tailLimit = tailBound(xs, ys, opt, maxAbsY)
+	}
+
 	var cands []*Fit
 	for _, kern := range opt.Kernels {
 		for _, plen := range prefixes {
@@ -180,10 +188,10 @@ func CandidateFits(xs, ys []float64, opt Options) ([]*Fit, error) {
 				continue
 			}
 			f.PrefixLen = plen
-			if !realistic(f, xs[0], opt, maxAbsY) {
+			if !realistic(f, grid, opt, maxAbsY) {
 				continue
 			}
-			if opt.TailSlopeCap > 0 && !tailGrowthOK(f, xs, ys, opt) {
+			if !tailGrowthOK(f, tailGrid, tailLimit) {
 				continue
 			}
 			// The candidate must also describe the measurements it saw.
@@ -268,11 +276,12 @@ func fitOneSeeded(kern *Kernel, xs, ys, seed []float64) *Fit {
 	var ws workspace
 	var bestP []float64
 	bestChi := math.Inf(1)
+	eval := kern.window()
 	for _, s := range starts {
 		if len(s) != kern.NParams {
 			continue
 		}
-		p, chi := ws.levenbergMarquardt(kern.Eval, xs, norm, s)
+		p, chi := ws.levenbergMarquardt(eval, xs, norm, s)
 		if chi < bestChi {
 			bestChi = chi
 			bestP = append(bestP[:0], p...)
@@ -285,12 +294,11 @@ func fitOneSeeded(kern *Kernel, xs, ys, seed []float64) *Fit {
 }
 
 // realistic applies the paper's "discard functions that are not realistic"
-// filter: the candidate must be finite over (0, MaxX], must not have a pole
-// in range, must not go (materially) negative when the quantity is a count
-// or a time, and must not explode past MaxGrowth × the observed magnitude.
-func realistic(f *Fit, minX float64, opt Options, maxAbsY float64) bool {
-	lo := math.Min(1, minX)
-	grid := realismGrid(lo, opt.MaxX)
+// filter on grid, the realism grid over (0, MaxX]: the candidate must be
+// finite, must not have a pole in range, must not go (materially) negative
+// when the quantity is a count or a time, and must not explode past
+// MaxGrowth × the observed magnitude.
+func realistic(f *Fit, grid []float64, opt Options, maxAbsY float64) bool {
 	negTol := -0.02 * maxAbsY
 	limit := opt.MaxGrowth * (maxAbsY + 1e-12)
 
@@ -322,17 +330,19 @@ func realistic(f *Fit, minX float64, opt Options, maxAbsY float64) bool {
 	return true
 }
 
-// tailGrowthOK bounds a candidate's growth beyond the measured window by a
+// tailBound bounds a candidate's growth beyond the measured window by a
 // linear continuation of the window tail's least-squares slope, scaled by
-// TailSlopeCap (plus a slack of 15% of the observed magnitude). The
+// TailSlopeCap (plus a slack of 15% of the observed magnitude), and returns
+// the grid past the window with the limit at each of its points. The
 // least-squares slope separates the trend from measurement noise — a flat
 // noisy category licenses almost no growth, while an accelerating one
-// licenses plenty. The whole measured window, not just the candidate's
-// fitting prefix, anchors the bound.
-func tailGrowthOK(f *Fit, xs, ys []float64, opt Options) bool {
+// licenses plenty. The whole measured window, not just a candidate's
+// fitting prefix, anchors the bound. A window too short for a tail slope
+// yields empty slices, which bound nothing.
+func tailBound(xs, ys []float64, opt Options, maxAbsY float64) (grid, limit []float64) {
 	m := len(xs)
 	if m < 4 {
-		return true
+		return nil, nil
 	}
 	xLast, yLast := xs[m-1], ys[m-1]
 	tailStart := m / 2
@@ -342,22 +352,26 @@ func tailGrowthOK(f *Fit, xs, ys []float64, opt Options) bool {
 	lineBasis := func(x float64) []float64 { return []float64{1, x} }
 	p, err := LinearLSQ(xs[tailStart:], ys[tailStart:], lineBasis, 2)
 	if err != nil {
-		return true
+		return nil, nil
 	}
 	slope := p[1]
 	if slope < 0 {
 		slope = 0
 	}
-	maxAbsY := 0.0
-	for _, y := range ys {
-		if a := math.Abs(y); a > maxAbsY {
-			maxAbsY = a
-		}
-	}
 	slack := 0.15 * maxAbsY
-	for _, x := range realismGrid(xLast, opt.MaxX) {
-		limit := yLast + opt.TailSlopeCap*slope*(x-xLast) + slack
-		if f.Eval(x) > limit {
+	grid = realismGrid(xLast, opt.MaxX)
+	limit = make([]float64, len(grid))
+	for i, x := range grid {
+		limit[i] = yLast + opt.TailSlopeCap*slope*(x-xLast) + slack
+	}
+	return grid, limit
+}
+
+// tailGrowthOK reports whether f stays within the tail bound at every
+// point of its grid.
+func tailGrowthOK(f *Fit, grid, limit []float64) bool {
+	for i, x := range grid {
+		if f.Eval(x) > limit[i] {
 			return false
 		}
 	}

@@ -32,6 +32,20 @@ type Kernel struct {
 	// RequiresPositive reports whether the kernel needs strictly positive
 	// observations (ExpRat fits the log of the data to seed its start).
 	RequiresPositive bool
+
+	// evalWindow is Eval over a whole window, out[i] = Eval(p, xs[i]), bit
+	// for bit: Levenberg–Marquardt evaluates the model a window at a time.
+	// It is nil for kernels fitted by linear least squares.
+	evalWindow windowEval
+}
+
+// window returns k's whole-window evaluation, falling back to Eval point
+// by point for a kernel without one.
+func (k *Kernel) window() windowEval {
+	if k.evalWindow != nil {
+		return k.evalWindow
+	}
+	return pointwise(k.Eval)
 }
 
 // Rat22 is (a0 + a1*n + a2*n^2) / (1 + b1*n + b2*n^2).
@@ -47,6 +61,15 @@ var Rat22 = &Kernel{
 		return 1 + p[3]*x + p[4]*x*x
 	},
 	Starts: ratStarts(3, 2),
+	evalWindow: func(p, xs, out []float64) {
+		p0, p1, p2, p3, p4 := p[0], p[1], p[2], p[3], p[4]
+		out = out[:len(xs)]
+		for i, x := range xs {
+			num := p0 + p1*x + p2*x*x
+			den := 1 + p3*x + p4*x*x
+			out[i] = num / den
+		}
+	},
 }
 
 // Rat23 is (a0 + a1*n + a2*n^2) / (1 + b1*n + b2*n^2 + b3*n^3).
@@ -62,6 +85,15 @@ var Rat23 = &Kernel{
 		return 1 + p[3]*x + p[4]*x*x + p[5]*x*x*x
 	},
 	Starts: ratStarts(3, 3),
+	evalWindow: func(p, xs, out []float64) {
+		p0, p1, p2, p3, p4, p5 := p[0], p[1], p[2], p[3], p[4], p[5]
+		out = out[:len(xs)]
+		for i, x := range xs {
+			num := p0 + p1*x + p2*x*x
+			den := 1 + p3*x + p4*x*x + p5*x*x*x
+			out[i] = num / den
+		}
+	},
 }
 
 // Rat33 is (a0 + a1*n + a2*n^2 + a3*n^3) / (1 + b1*n + b2*n^2 + b3*n^3).
@@ -77,6 +109,15 @@ var Rat33 = &Kernel{
 		return 1 + p[4]*x + p[5]*x*x + p[6]*x*x*x
 	},
 	Starts: ratStarts(4, 3),
+	evalWindow: func(p, xs, out []float64) {
+		p0, p1, p2, p3, p4, p5, p6 := p[0], p[1], p[2], p[3], p[4], p[5], p[6]
+		out = out[:len(xs)]
+		for i, x := range xs {
+			num := p0 + p1*x + p2*x*x + p3*x*x*x
+			den := 1 + p4*x + p5*x*x + p6*x*x*x
+			out[i] = num / den
+		}
+	},
 }
 
 // CubicLn is a + b*ln(n) + c*ln(n)^2 + d*ln(n)^3, linear in its parameters.
@@ -106,6 +147,13 @@ var ExpRat = &Kernel{
 	},
 	Starts:           expRatStarts,
 	RequiresPositive: true,
+	evalWindow: func(p, xs, out []float64) {
+		p0, p1, p2, p3 := p[0], p[1], p[2], p[3]
+		out = out[:len(xs)]
+		for i, x := range xs {
+			out[i] = math.Exp((p0 + p1*x) / (p2 + p3*x))
+		}
+	},
 }
 
 // Poly25 is a + b*x + c*x^2 + d*x^2.5, linear in its parameters.

@@ -1,6 +1,10 @@
 package fit
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/stats"
+)
 
 // lmOptions tunes the Levenberg–Marquardt solver. The zero value is not
 // usable; use defaultLMOptions.
@@ -22,16 +26,31 @@ func defaultLMOptions() lmOptions {
 	}
 }
 
+// windowEval evaluates a model over a whole window: out[i] = f(p, xs[i]).
+// The solver calls one per Jacobian column and one per residual vector.
+type windowEval func(p, xs, out []float64)
+
+// pointwise is the window evaluation of a scalar model: f at each x in
+// index order.
+func pointwise(f func(p []float64, x float64) float64) windowEval {
+	return func(p, xs, out []float64) {
+		for i, x := range xs {
+			out[i] = f(p, x)
+		}
+	}
+}
+
 // workspace is the Levenberg–Marquardt solver's scratch memory, sized for
-// m observations and n parameters and carved from one backing array.
-// Matrices are flat and row-major. An accepted step swaps p with trial and
-// r with tr instead of copying, so once sized the solver allocates nothing.
-// A workspace belongs to one goroutine; every solve overwrites the buffers
-// it reads before reading them, so reusing one cannot leak state between
-// solves.
+// m observations and n parameters and carved from one backing array. The
+// Jacobian is column-major, so each forward-difference column is one
+// window evaluation; JᵀJ and its damped copy are row-major, as solveLinear
+// takes them. An accepted step swaps p with trial and r with tr instead of
+// copying, so once sized the solver allocates nothing. A workspace belongs
+// to one goroutine; every solve overwrites the buffers it reads before
+// reading them, so reusing one cannot leak state between solves.
 type workspace struct {
 	buf      []float64 // backing array of every buffer below
-	jac      []float64 // m×n forward-difference Jacobian
+	jac      []float64 // n×m forward-difference Jacobian, column j at jac[j*m:]
 	jtj, a   []float64 // n×n JᵀJ and its damped copy
 	jtr, b   []float64 // Jᵀr and the damped system's right-hand side
 	delta    []float64 // the step solving the damped system
@@ -68,92 +87,89 @@ func (ws *workspace) reset(m, n int) {
 // workspace.levenbergMarquardt.
 func LevenbergMarquardt(f func(p []float64, x float64) float64, xs, ys, start []float64) ([]float64, float64) {
 	var ws workspace
-	p, chi := ws.levenbergMarquardt(f, xs, ys, start)
+	p, chi := ws.levenbergMarquardt(pointwise(f), xs, ys, start)
 	return append([]float64(nil), p...), chi
 }
 
-// residuals fills r with f(p, xs[i]) - ys[i] and returns χ², their sum of
-// squares in index order. It reports false, with χ² = +Inf, as soon as f
-// is not finite.
-func residuals(f func(p []float64, x float64) float64, xs, ys, p, r []float64) (float64, bool) {
+// residuals fills r with eval(p, xs) - ys and returns χ², their sum of
+// squares in index order. It reports false, with χ² = +Inf, when any model
+// value is not finite.
+func residuals(eval windowEval, xs, ys, p, r []float64) (float64, bool) {
+	eval(p, xs, r)
+	if !stats.AllFinite(r) {
+		return math.Inf(1), false
+	}
 	chi := 0.0
-	for i := range xs {
-		v := f(p, xs[i])
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return math.Inf(1), false
-		}
+	for i, v := range r {
 		r[i] = v - ys[i]
 		chi += r[i] * r[i]
 	}
 	return chi, true
 }
 
-// levenbergMarquardt is LevenbergMarquardt on ws. The returned parameters
-// alias the workspace and are valid until its next solve.
-func (ws *workspace) levenbergMarquardt(f func(p []float64, x float64) float64, xs, ys, start []float64) ([]float64, float64) {
+// dot is the sum of a[i]·b[i] in index order.
+func dot(a, b []float64) float64 {
+	b = b[:len(a)]
+	s := 0.0
+	for i, v := range a {
+		s += v * b[i]
+	}
+	return s
+}
+
+// levenbergMarquardt is LevenbergMarquardt on ws, with the model evaluated
+// a window at a time. The returned parameters alias the workspace and are
+// valid until its next solve.
+func (ws *workspace) levenbergMarquardt(eval windowEval, xs, ys, start []float64) ([]float64, float64) {
 	opt := defaultLMOptions()
-	n := len(start)
-	ws.reset(len(xs), n)
+	m, n := len(xs), len(start)
+	ws.reset(m, n)
 	jac, jtj, a, jtr, b, delta := ws.jac, ws.jtj, ws.a, ws.jtr, ws.b, ws.delta
 	p, trial, r, tr := ws.p, ws.trial, ws.r, ws.tr
 	copy(p, start)
 
-	chi, ok := residuals(f, xs, ys, p, r)
+	chi, ok := residuals(eval, xs, ys, p, r)
 	if !ok {
 		return p, chi
 	}
 	lambda := opt.InitDamp
 
 	for iter := 0; iter < opt.MaxIter; iter++ {
-		// Forward-difference Jacobian.
+		// Forward-difference Jacobian, one column per parameter.
 		for j := 0; j < n; j++ {
+			col := jac[j*m : j*m+m]
 			h := 1e-7 * (math.Abs(p[j]) + 1e-7)
 			pj := p[j]
 			p[j] = pj + h
-			bad := false
-			for i := range xs {
-				v := f(p, xs[i])
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					bad = true
-					break
-				}
-				jac[i*n+j] = (v - ys[i] - r[i]) / h
-			}
+			eval(p, xs, col)
 			p[j] = pj
-			if bad {
-				// Retreat to a one-sided step in the other direction.
-				p[j] = pj - h
-				ok := true
-				for i := range xs {
-					v := f(p, xs[i])
-					if math.IsNaN(v) || math.IsInf(v, 0) {
-						ok = false
-						break
-					}
-					jac[i*n+j] = (r[i] - (v - ys[i])) / h
+			if stats.AllFinite(col) {
+				for i, v := range col {
+					col[i] = (v - ys[i] - r[i]) / h
 				}
-				p[j] = pj
-				if !ok {
-					return p, chi
-				}
+				continue
+			}
+			// Retreat to a one-sided step in the other direction.
+			p[j] = pj - h
+			eval(p, xs, col)
+			p[j] = pj
+			if !stats.AllFinite(col) {
+				return p, chi
+			}
+			for i, v := range col {
+				col[i] = (r[i] - (v - ys[i])) / h
 			}
 		}
 
-		// Build JᵀJ (upper triangle, then mirrored) and Jᵀr.
-		clear(jtj)
-		clear(jtr)
-		for i := range xs {
-			row := jac[i*n : i*n+n]
-			for j := 0; j < n; j++ {
-				jtr[j] += row[j] * r[i]
-				for k := j; k < n; k++ {
-					jtj[j*n+k] += row[j] * row[k]
-				}
-			}
-		}
+		// JᵀJ and Jᵀr, entry by entry: each is a dot product over the
+		// observations in index order, the summation order its bits
+		// depend on.
 		for j := 0; j < n; j++ {
-			for k := 0; k < j; k++ {
-				jtj[j*n+k] = jtj[k*n+j]
+			cj := jac[j*m : j*m+m]
+			jtr[j] = dot(cj, r)
+			for k := j; k < n; k++ {
+				v := dot(cj, jac[k*m:k*m+m])
+				jtj[j*n+k], jtj[k*n+j] = v, v
 			}
 		}
 
@@ -186,7 +202,7 @@ func (ws *workspace) levenbergMarquardt(f func(p []float64, x float64) float64, 
 				trial[j] = p[j] + delta[j]
 				stepNorm += delta[j] * delta[j]
 			}
-			tchi, ok := residuals(f, xs, ys, trial, tr)
+			tchi, ok := residuals(eval, xs, ys, trial, tr)
 			if ok && tchi < chi {
 				relDrop := (chi - tchi) / (chi + 1e-300)
 				p, trial = trial, p

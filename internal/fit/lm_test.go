@@ -2,6 +2,7 @@ package fit
 
 import (
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -108,40 +109,119 @@ func TestLMZeroResidualStart(t *testing.T) {
 	}
 }
 
-// TestWorkspaceSteadyStateZeroAllocs locks in the solver's steady state:
-// once a workspace has solved a problem, solving it again allocates
-// nothing — Jacobian, normal equations, damped system, step, parameters and
-// residuals are all recycled.
+// TestWorkspaceSteadyStateZeroAllocs locks in the solver's steady state for
+// every kernel Levenberg–Marquardt fits: once a workspace has solved a
+// problem, solving it again allocates nothing — Jacobian, normal
+// equations, damped system, step, parameters and residuals are all
+// recycled.
 func TestWorkspaceSteadyStateZeroAllocs(t *testing.T) {
-	truth := []float64{1, 0.5, 0.02, 0.001, 0.1, 0.004, 0.0001}
 	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = Rat33.Eval(truth, x) * (1 + 0.01*math.Sin(3*x))
+	for _, c := range []struct {
+		k     *Kernel
+		truth []float64
+	}{
+		{Rat22, []float64{1, 0.5, 0.02, 0.1, 0.004}},
+		{Rat23, []float64{1, 0.5, 0.02, 0.1, 0.004, 0.0001}},
+		{Rat33, []float64{1, 0.5, 0.02, 0.001, 0.1, 0.004, 0.0001}},
+		{ExpRat, []float64{0.5, 0.1, 1, 0.01}},
+	} {
+		t.Run(c.k.Name, func(t *testing.T) {
+			ys := make([]float64, len(xs))
+			for i, x := range xs {
+				ys[i] = c.k.Eval(c.truth, x) * (1 + 0.01*math.Sin(3*x))
+			}
+			start := c.k.Starts(xs, ys)[0]
+			eval := c.k.window()
+			var ws workspace
+			p, chi := ws.levenbergMarquardt(eval, xs, ys, start)
+			startChi, _ := residuals(eval, xs, ys, start, make([]float64, len(xs)))
+			if !(chi < startChi) {
+				t.Fatalf("solve did not improve on its start: chi %v, start chi %v", chi, startChi)
+			}
+			// The exported entry point, which evaluates the scalar Eval
+			// point by point, must return the same bits as the kernel's
+			// window evaluation on a reused workspace.
+			ep, echi := LevenbergMarquardt(c.k.Eval, xs, ys, start)
+			if math.Float64bits(echi) != math.Float64bits(chi) {
+				t.Fatalf("LevenbergMarquardt chi %v != workspace chi %v", echi, chi)
+			}
+			for j := range p {
+				if math.Float64bits(ep[j]) != math.Float64bits(p[j]) {
+					t.Fatalf("LevenbergMarquardt p[%d] = %v, workspace %v", j, ep[j], p[j])
+				}
+			}
+			avg := testing.AllocsPerRun(20, func() {
+				ws.levenbergMarquardt(eval, xs, ys, start)
+			})
+			if avg != 0 {
+				t.Fatalf("steady-state %s solve allocates %.1f objects per run, want 0", c.k.Name, avg)
+			}
+		})
 	}
-	start := Rat33.Starts(xs, ys)[0]
-	var ws workspace
-	p, chi := ws.levenbergMarquardt(Rat33.Eval, xs, ys, start)
-	startChi, _ := residuals(Rat33.Eval, xs, ys, start, make([]float64, len(xs)))
-	if !(chi < startChi) {
-		t.Fatalf("solve did not improve on its start: chi %v, start chi %v", chi, startChi)
+}
+
+// TestKernelWindowMatchesEval: every kernel Levenberg–Marquardt fits
+// evaluates a window to exactly the bits its scalar Eval gives point by
+// point, so fits (window form) and the realism checks and Fit.Eval (scalar
+// form) see one function. Parameters include poles inside the window and
+// ExpRat overflow, so NaN and ±Inf must land at the same indices too.
+func TestKernelWindowMatchesEval(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	// Each rational kernel's denominator vanishes at x = 4 with b1 = -0.25
+	// and the other denominator coefficients zero; a numerator that also
+	// vanishes there turns the pole into 0/0. ExpRat's cases overflow and
+	// underflow exp, and put c + d·x = 0 at x = 4 under a nonzero and a
+	// zero numerator.
+	poles := map[*Kernel][][]float64{
+		Rat22:  {{1, 2, 0.5, -0.25, 0}, {-4, 1, 0, -0.25, 0}},
+		Rat23:  {{1, 2, 0.5, -0.25, 0, 0}, {-4, 1, 0, -0.25, 0, 0}},
+		Rat33:  {{1, 2, 0.5, 0.1, -0.25, 0, 0}, {-4, 1, 0, 0, -0.25, 0, 0}},
+		ExpRat: {{800, 1, 1, 0}, {1, 1, -4, 1}, {-4, 1, -4, 1}, {-800, -1, 1, 0}},
 	}
-	// The exported entry point must return the same bits as a reused
-	// workspace.
-	ep, echi := LevenbergMarquardt(Rat33.Eval, xs, ys, start)
-	if math.Float64bits(echi) != math.Float64bits(chi) {
-		t.Fatalf("LevenbergMarquardt chi %v != workspace chi %v", echi, chi)
+	cores := make([]float64, 24)
+	for i := range cores {
+		cores[i] = float64(i + 1)
 	}
-	for j := range p {
-		if math.Float64bits(ep[j]) != math.Float64bits(p[j]) {
-			t.Fatalf("LevenbergMarquardt p[%d] = %v, workspace %v", j, ep[j], p[j])
+	for _, k := range []*Kernel{Rat22, Rat23, Rat33, ExpRat} {
+		if k.evalWindow == nil {
+			t.Fatalf("%s has no window evaluation", k.Name)
 		}
-	}
-	avg := testing.AllocsPerRun(20, func() {
-		ws.levenbergMarquardt(Rat33.Eval, xs, ys, start)
-	})
-	if avg != 0 {
-		t.Fatalf("steady-state Rat33 solve allocates %.1f objects per run, want 0", avg)
+		params := poles[k]
+		for trial := 0; trial < 500; trial++ {
+			p := make([]float64, k.NParams)
+			for j := range p {
+				p[j] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
+			}
+			params = append(params, p)
+		}
+		nan, inf := 0, 0
+		for _, p := range params {
+			// Whole core counts, as measured windows have, and fractional
+			// points, as the realism grid has.
+			frac := make([]float64, 1+rng.Intn(24))
+			for i := range frac {
+				frac[i] = 200 * rng.Float64()
+			}
+			for _, xs := range [][]float64{cores, frac} {
+				out := make([]float64, len(xs))
+				k.evalWindow(p, xs, out)
+				for i, x := range xs {
+					want := k.Eval(p, x)
+					if math.Float64bits(out[i]) != math.Float64bits(want) {
+						t.Fatalf("%s params %v at x=%v: window %v (%#x), Eval %v (%#x)",
+							k.Name, p, x, out[i], math.Float64bits(out[i]), want, math.Float64bits(want))
+					}
+					if math.IsNaN(want) {
+						nan++
+					} else if math.IsInf(want, 0) {
+						inf++
+					}
+				}
+			}
+		}
+		if nan == 0 || inf == 0 {
+			t.Errorf("%s: %d NaN and %d infinite values; the cases must cover both", k.Name, nan, inf)
+		}
 	}
 }
 

@@ -149,7 +149,10 @@ func (s *Service) Diagnose(ctx context.Context, req DiagnoseRequest) (*DiagnoseR
 	if measCores <= 0 {
 		measCores = mm.OneProcessorCores()
 	}
-	scale := defaultScale(req.Scale)
+	scale, err := checkScale(req.Scale)
+	if err != nil {
+		return nil, err
+	}
 	targets := sim.CoreRange(tm.NumCores())
 
 	pred, hit, err := s.predicted(ctx, w, mm, measCores, scale, targets, opt)

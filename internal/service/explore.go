@@ -205,6 +205,9 @@ func (s *Service) explore(ctx context.Context, req ExploreRequest, run CellRunne
 	if req.Budget < 0 {
 		return nil, badRequest("negative exploration budget %d", req.Budget)
 	}
+	if err := checkFinite("target band width", req.TargetBandPct); err != nil {
+		return nil, err
+	}
 	if req.TargetBandPct < 0 {
 		return nil, badRequest("negative target band width %g%%", req.TargetBandPct)
 	}

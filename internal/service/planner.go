@@ -257,7 +257,7 @@ func checkBootstrap(bootstrap int, ciLevel float64) error {
 	if bootstrap > maxBootstrap {
 		return badRequest("bootstrap count %d above the limit of %d", bootstrap, maxBootstrap)
 	}
-	if ciLevel != 0 && (ciLevel <= 0 || ciLevel >= 100) {
+	if ciLevel != 0 && !(ciLevel > 0 && ciLevel < 100) {
 		return badRequest("confidence level %g%% outside (0, 100)", ciLevel)
 	}
 	return nil
@@ -350,7 +350,10 @@ func (s *Service) PlanSweep(req SweepRequest) (*PlannedSweep, error) {
 			}
 		}
 	}
-	scale := defaultScale(req.Scale)
+	scale, err := checkScale(req.Scale)
+	if err != nil {
+		return nil, err
+	}
 
 	// Bound the matrix BEFORE materializing a single cell: the per-spec
 	// grid cap (spec.MaxGridInstances) bounds each entry, but the
@@ -430,7 +433,11 @@ func (s *Service) Cell(ctx context.Context, req CellRequest) (*CellResponse, err
 	if err != nil {
 		return nil, err
 	}
-	pc := planCell(w, m, defaultScale(req.Scale), sim.CoreRange(m.NumCores()), req)
+	scale, err := checkScale(req.Scale)
+	if err != nil {
+		return nil, err
+	}
+	pc := planCell(w, m, scale, sim.CoreRange(m.NumCores()), req)
 	cell := s.runCell(ctx, &pc)
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -38,7 +38,13 @@ func (s *Service) Predict(ctx context.Context, req PredictRequest) (*PredictResp
 	if err := checkBootstrap(req.Bootstrap, req.CILevel); err != nil {
 		return nil, err
 	}
-	scale := defaultScale(req.Scale)
+	scale, err := checkScale(req.Scale)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkFinite("data scale", req.DataScale); err != nil {
+		return nil, err
+	}
 
 	resp := &PredictResponse{APIVersion: APIVersion, ScaleRecorded: true}
 	var (

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"math"
 	"runtime"
 
 	"repro/internal/counters"
@@ -274,7 +275,11 @@ func (s *Service) Collect(ctx context.Context, req CollectRequest) (*CollectResp
 	if err != nil {
 		return nil, err
 	}
-	ser, hit, err := s.series(ctx, w, m, cores, defaultScale(req.Scale))
+	scale, err := checkScale(req.Scale)
+	if err != nil {
+		return nil, err
+	}
+	ser, hit, err := s.series(ctx, w, m, cores, scale)
 	if err != nil {
 		return nil, err
 	}
@@ -304,10 +309,24 @@ func (s *Service) Curve(ctx context.Context, req CurveRequest) (*CurveResponse, 
 		Samples: c.Samples, Series: c.Series, Decoded: c.Decoded}, nil
 }
 
-// defaultScale maps the zero value to the paper's full-size datasets.
-func defaultScale(scale float64) float64 {
-	if scale <= 0 {
-		return 1
+// checkScale validates a request's dataset scale and maps the zero value
+// to the paper's full-size datasets.
+func checkScale(scale float64) (float64, error) {
+	if err := checkFinite("scale", scale); err != nil {
+		return 0, err
 	}
-	return scale
+	if scale <= 0 {
+		return 1, nil
+	}
+	return scale, nil
+}
+
+// checkFinite rejects a non-finite request number. JSON cannot carry one,
+// but in-process callers (the CLI, sweeps, explore) can, and a NaN scale
+// would otherwise simulate every sample before failing to encode them.
+func checkFinite(what string, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return badRequest("non-finite %s %g", what, v)
+	}
+	return nil
 }

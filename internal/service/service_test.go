@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -108,6 +109,80 @@ func TestRequestValidation(t *testing.T) {
 			_, err := svc.Curve(bg, CurveRequest{Workload: "intruder", Machine: "Haswell", Cores: "1,3,2-3"})
 			return err
 		}, "core count 3 listed twice"},
+		// JSON cannot carry a non-finite number, but in-process callers
+		// can: each must fail validation before anything is simulated.
+		{"ci NaN", func() error {
+			_, err := svc.Predict(bg, PredictRequest{Workload: "intruder", Machine: "Haswell", Bootstrap: 10, CILevel: math.NaN()})
+			return err
+		}, "outside (0, 100)"},
+		{"sweep ci NaN", func() error {
+			_, err := svc.Sweep(bg, SweepRequest{Workloads: []string{"genome"}, Machines: []string{"Haswell"}, Bootstrap: 5, CILevel: math.NaN()})
+			return err
+		}, "confidence level NaN% outside (0, 100)"},
+		{"sweep ci +Inf", func() error {
+			_, err := svc.Sweep(bg, SweepRequest{Workloads: []string{"genome"}, Machines: []string{"Haswell"}, Bootstrap: 5, CILevel: math.Inf(1)})
+			return err
+		}, "confidence level +Inf% outside (0, 100)"},
+		{"cell ci -Inf", func() error {
+			_, err := svc.Cell(bg, CellRequest{Workload: "genome", Machine: "Haswell", Bootstrap: 5, CILevel: math.Inf(-1)})
+			return err
+		}, "confidence level -Inf% outside (0, 100)"},
+		{"explore ci NaN", func() error {
+			req := exploreTestRequest()
+			req.CILevel = math.NaN()
+			_, err := svc.Explore(bg, req)
+			return err
+		}, "confidence level NaN% outside (0, 100)"},
+		{"predict scale NaN", func() error {
+			_, err := svc.Predict(bg, PredictRequest{Workload: "intruder", Machine: "Haswell", Scale: math.NaN()})
+			return err
+		}, "non-finite scale NaN"},
+		{"predict scale +Inf", func() error {
+			_, err := svc.Predict(bg, PredictRequest{Workload: "intruder", Machine: "Haswell", Scale: math.Inf(1)})
+			return err
+		}, "non-finite scale +Inf"},
+		{"predict data scale NaN", func() error {
+			_, err := svc.Predict(bg, PredictRequest{Workload: "intruder", Machine: "Haswell", Scale: 0.05, DataScale: math.NaN()})
+			return err
+		}, "non-finite data scale NaN"},
+		{"collect scale NaN", func() error {
+			_, err := svc.Collect(bg, CollectRequest{Workload: "intruder", Machine: "Haswell", Cores: "1-4", Scale: math.NaN()})
+			return err
+		}, "non-finite scale NaN"},
+		{"curve scale -Inf", func() error {
+			_, err := svc.Curve(bg, CurveRequest{Workload: "intruder", Machine: "Haswell", Cores: "1-4", Scale: math.Inf(-1)})
+			return err
+		}, "non-finite scale -Inf"},
+		{"sweep scale NaN", func() error {
+			_, err := svc.Sweep(bg, SweepRequest{Workloads: []string{"genome"}, Machines: []string{"Haswell"}, Scale: math.NaN()})
+			return err
+		}, "non-finite scale NaN"},
+		{"cell scale NaN", func() error {
+			_, err := svc.Cell(bg, CellRequest{Workload: "genome", Machine: "Haswell", Scale: math.NaN()})
+			return err
+		}, "non-finite scale NaN"},
+		{"diagnose scale +Inf", func() error {
+			_, err := svc.Diagnose(bg, DiagnoseRequest{Workload: "intruder", Machine: "Haswell", Scale: math.Inf(1)})
+			return err
+		}, "non-finite scale +Inf"},
+		{"explore scale NaN", func() error {
+			req := exploreTestRequest()
+			req.Scale = math.NaN()
+			_, err := svc.Explore(bg, req)
+			return err
+		}, "non-finite scale NaN"},
+		{"explore band NaN", func() error {
+			req := exploreTestRequest()
+			req.TargetBandPct = math.NaN()
+			_, err := svc.Explore(bg, req)
+			return err
+		}, "non-finite target band width NaN"},
+		{"explore band +Inf", func() error {
+			req := exploreTestRequest()
+			req.TargetBandPct = math.Inf(1)
+			_, err := svc.Explore(bg, req)
+			return err
+		}, "non-finite target band width +Inf"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

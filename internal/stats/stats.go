@@ -197,9 +197,10 @@ func AllFinite(xs []float64) bool {
 
 // Quantile returns the q-quantile of xs (q in [0, 1]) using linear
 // interpolation between order statistics (the common "type 7" estimator).
-// q is clamped into [0, 1]; an empty xs yields NaN. xs is not modified.
+// q is clamped into [0, 1]; an empty xs or a NaN q yields NaN. xs is not
+// modified.
 func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
+	if len(xs) == 0 || math.IsNaN(q) {
 		return math.NaN()
 	}
 	if q < 0 {

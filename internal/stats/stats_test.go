@@ -267,6 +267,9 @@ func TestQuantile(t *testing.T) {
 	if !math.IsNaN(Quantile(nil, 0.5)) {
 		t.Error("empty Quantile should be NaN")
 	}
+	if got := Quantile(xs, math.NaN()); !math.IsNaN(got) {
+		t.Errorf("Quantile(NaN) = %v, want NaN", got)
+	}
 	if got := Quantile([]float64{7}, 0.99); got != 7 {
 		t.Errorf("single-element Quantile = %v", got)
 	}
