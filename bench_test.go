@@ -2,8 +2,9 @@
 // the paper's evaluation (one benchmark per experiment, backed by
 // internal/experiments). The benchmarks run each experiment at a reduced
 // dataset scale so `go test -bench=.` completes in minutes; run
-// `go run ./cmd/estima-bench -exp all` for the full-scale outputs recorded
-// in EXPERIMENTS.md. Each benchmark reports the experiment's wall time per
+// `go run ./cmd/estima-bench -exp all` for the full-scale outputs
+// (`estima-bench -list` names every experiment, and the README shows how to
+// run them). Each benchmark reports the experiment's wall time per
 // regeneration; on the first iteration it also logs the produced rows.
 package repro
 

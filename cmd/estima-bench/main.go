@@ -1,6 +1,7 @@
 // Command estima-bench regenerates the paper's tables and figures (and the
-// DESIGN.md ablations) on the simulated machines, printing each experiment's
-// rows and optionally writing them under a results directory.
+// ablation-* experiments, listed with -list) on the simulated machines,
+// printing each experiment's rows and optionally writing them under a
+// results directory.
 //
 //estima:timing reports per-experiment wall-clock durations in its progress output
 package main
@@ -10,6 +11,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -37,8 +39,6 @@ func run() int {
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	sweepBench := flag.Bool("sweepbench", false,
 		"measure a cold vs warm prediction sweep through the planner and write BENCH_sweep.json (to -out, or the working directory)")
-	serveBench := flag.Bool("servebench", false,
-		"load-test an in-process cluster (1 coordinator + 2 workers over HTTP) at several concurrency levels and write BENCH_http.json (to -out, or the working directory)")
 	exploreBench := flag.Bool("explorebench", false,
 		"measure budgeted exploration of a reference parameter region against an exhaustive sweep and write BENCH_explore.json (to -out, or the working directory)")
 	simBench := flag.Bool("simbench", false,
@@ -87,19 +87,16 @@ func run() int {
 		}
 		return 0
 	}
+	// Every mode below measures at -scale, and a NaN passes the scale <= 0
+	// defaults of the experiments and the engine.
+	if math.IsNaN(*scale) || math.IsInf(*scale, 0) {
+		fmt.Fprintf(os.Stderr, "estima-bench: non-finite scale %g\n", *scale)
+		return 1
+	}
 	if *sweepBench {
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
 		if err := runSweepBench(ctx, *scale, *cacheDir, *outDir); err != nil {
-			fmt.Fprintf(os.Stderr, "estima-bench: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	if *serveBench {
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		if err := runServeBench(ctx, *scale, *outDir); err != nil {
 			fmt.Fprintf(os.Stderr, "estima-bench: %v\n", err)
 			return 1
 		}

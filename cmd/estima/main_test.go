@@ -56,6 +56,8 @@ func TestRunExitCodes(t *testing.T) {
 		{"predict non-finite ci", []string{"predict", "-w", "genome", "-m", "Haswell", "-scale", "0.05", "-boot", "10", "-ci", "NaN"}, 1, "-ci NaN out of range (0, 100)"},
 		{"sweep non-finite ci", []string{"sweep", "-w", "genome", "-m", "Haswell", "-scale", "0.05", "-boot", "5", "-ci", "NaN"}, 1, "-ci NaN out of range (0, 100)"},
 		{"sweep non-finite scale", []string{"sweep", "-w", "genome", "-m", "Haswell", "-scale", "NaN"}, 1, "non-finite scale NaN"},
+		{"bottleneck non-finite scale", []string{"bottleneck", "-w", "intruder", "-m", "Haswell", "-scale", "NaN"}, 1, "non-finite scale NaN"},
+		{"bottleneck cores beyond machine", []string{"bottleneck", "-w", "intruder", "-m", "Haswell", "-meascores", "99"}, 1, `core range "1-99" exceeds the machine's 4 cores`},
 		{"success", []string{"list"}, 0, ""},
 		{"help", []string{"help"}, 0, ""},
 	}

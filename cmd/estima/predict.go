@@ -187,8 +187,9 @@ func renderPredictTable(resp *service.PredictResponse, actual []float64) {
 }
 
 // cmdBottleneck reports the predicted dominant stall categories and their
-// code sites (paper §4.6). It needs the raw Prediction and measured series,
-// so it drives the core pipeline directly rather than the service facade.
+// code sites (paper §4.6). It measures through the service, which validates
+// the names, cores and scale and memoizes the samples, and runs the core
+// pipeline on the decoded series, since it needs the raw Prediction.
 func cmdBottleneck(ctx context.Context, args []string) error {
 	fs := newFlagSet("bottleneck")
 	workload := fs.String("w", "", "workload name")
@@ -199,10 +200,6 @@ func cmdBottleneck(ctx context.Context, args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	w, err := workloads.Lookup(*workload)
-	if err != nil {
-		return err
-	}
 	mm, err := machine.Lookup(*measMach)
 	if err != nil {
 		return err
@@ -210,10 +207,20 @@ func cmdBottleneck(ctx context.Context, args []string) error {
 	if *measCores <= 0 {
 		*measCores = mm.OneProcessorCores()
 	}
-	measured, err := sim.CollectSeries(w, mm, sim.CoreRange(*measCores), *scale)
+	svc, err := newService("")
 	if err != nil {
 		return err
 	}
+	resp, err := svc.Collect(ctx, service.CollectRequest{
+		Workload: *workload,
+		Machine:  *measMach,
+		Cores:    fmt.Sprintf("1-%d", *measCores),
+		Scale:    *scale,
+	})
+	if err != nil {
+		return err
+	}
+	measured := resp.Decoded
 	pred, err := core.PredictContext(ctx, measured, sim.CoreRange(mm.NumCores()), core.Options{UseSoftware: true})
 	if err != nil {
 		return err

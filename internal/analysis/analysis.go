@@ -11,10 +11,10 @@
 // analyzers and the driver read:
 //
 //	//estima:timing [reason]
-//	    Package-level opt-out for timing-measurement packages: the package's
-//	    whole job is to read wall clocks (perfcol, timex, stm,
-//	    estima-bench), so the determinism analyzer skips it. The directive
-//	    may appear in any file-level comment of the package.
+//	    Package-level opt-out for packages that must read wall clocks
+//	    (cluster's health probes and retry backoff, estima-bench's progress
+//	    output), so the determinism analyzer skips them. The directive may
+//	    appear in any file-level comment of the package.
 //
 //	//estima:allow <analyzer> [reason]
 //	    Line-level suppression: diagnostics of the named analyzer on the

@@ -4,9 +4,9 @@
 // prediction-path code never reads time.Now, never draws from the global
 // math/rand stream, and never lets goroutine scheduling order pick between
 // result channels. The analyzer enforces that by default in every package;
-// packages whose *job* is timing (perfcol, timex, stm,
-// estima-bench) opt out with a package-level //estima:timing directive, and
-// _test.go files are always exempt.
+// packages that must read wall clocks (cluster's health probes, estima-bench's
+// progress output) opt out with a package-level //estima:timing directive,
+// and _test.go files are always exempt.
 package determinism
 
 import (

@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§4 and §5) on the simulated machines, plus the ablations
-// called out in DESIGN.md. Each experiment returns a Result whose Text holds
-// the same rows/series the paper reports; cmd/estima-bench and bench_test.go
-// are thin wrappers around this package.
+// evaluation (§4 and §5) on the simulated machines, plus the ablation-*
+// experiments (`estima-bench -list` names them all). Each experiment returns
+// a Result whose Text holds the same rows/series the paper reports;
+// cmd/estima-bench and bench_test.go are thin wrappers around this package.
 //
 // Measurement collection is delegated to internal/service — the same
 // facade behind the CLI and the HTTP daemon — so the experiment harness can
@@ -13,6 +13,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 
@@ -92,6 +93,11 @@ func Title(id string) string {
 // Run executes one experiment by id. Cancelling ctx aborts measurement
 // collection and every prediction worker pool the experiment opened.
 func Run(ctx context.Context, id string, cfg Config) (*Result, error) {
+	// A NaN scale passes withDefaults' scale <= 0 test and would print a
+	// wrong table rather than fail.
+	if math.IsNaN(cfg.Scale) || math.IsInf(cfg.Scale, 0) {
+		return nil, fmt.Errorf("experiment %s: non-finite scale %g", id, cfg.Scale)
+	}
 	for _, r := range runners {
 		if r.id == id {
 			e := newEnv(ctx, cfg.withDefaults())

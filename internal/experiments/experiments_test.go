@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -51,6 +52,18 @@ func TestIDsAndTitles(t *testing.T) {
 func TestRunUnknownExperiment(t *testing.T) {
 	if _, err := Run(bg, "nope", Config{}); err == nil {
 		t.Error("unknown experiment should error")
+	}
+}
+
+// A non-finite scale fails before any measurement: NaN passes the
+// scale <= 0 default, and table5 used to print wrong correlations with it.
+func TestRunRejectsNonFiniteScale(t *testing.T) {
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := Run(bg, "table5", Config{Scale: scale})
+		want := fmt.Sprintf("experiment table5: non-finite scale %g", scale)
+		if err == nil || err.Error() != want {
+			t.Errorf("scale %g: err = %v, want %q", scale, err, want)
+		}
 	}
 }
 

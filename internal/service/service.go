@@ -25,9 +25,8 @@ type Config struct {
 	// worker count of each prediction's fitting/bootstrap pools. 0 means
 	// NumCPU.
 	Workers int
-	// CollectSample overrides the per-sample measurement collector (tests
-	// stub it; a future perf-based backend plugs in here). nil means
-	// sim.Collect.
+	// CollectSample overrides the per-sample measurement collector; tests
+	// stub it. nil means sim.Collect.
 	CollectSample func(w sim.Workload, m *machine.Config, cores int, scale float64) (counters.Sample, error)
 }
 
