@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -23,6 +22,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/service"
+	"repro/internal/sim"
 )
 
 // main only converts run's status into an exit code: os.Exit skips deferred
@@ -87,10 +87,11 @@ func run() int {
 		}
 		return 0
 	}
-	// Every mode below measures at -scale, and a NaN passes the scale <= 0
-	// defaults of the experiments and the engine.
-	if math.IsNaN(*scale) || math.IsInf(*scale, 0) {
-		fmt.Fprintf(os.Stderr, "estima-bench: non-finite scale %g\n", *scale)
+	// Every mode below measures at -scale, and each resolves it by the
+	// simulator's scale rule; checking it here with the same rule rejects
+	// a non-finite scale once, before any mode starts work or prints.
+	if _, err := sim.ResolveScale(*scale); err != nil {
+		fmt.Fprintf(os.Stderr, "estima-bench: %v\n", err)
 		return 1
 	}
 	if *sweepBench {

@@ -50,17 +50,8 @@ type bootRep struct {
 func (pl *Pipeline) bootstrap(ctx context.Context, series *counters.Series, ex *Extrapolation, p *Prediction) error {
 	n := pl.opt.Bootstrap
 	level := pl.opt.CILevel
-	if level <= 0 || level >= 100 {
-		level = DefaultCILevel
-	}
-	seed := pl.opt.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	xs := series.Cores()
 	targets := p.TargetCores
-	scale := pl.dataScale()
-	freq := pl.freqRatio()
 
 	// The fitted categories (in stable order) and their residuals over the
 	// measured window. All-zero categories carry no noise and stay zero.
@@ -84,8 +75,8 @@ func (pl *Pipeline) bootstrap(ctx context.Context, series *counters.Series, ex *
 
 	reps := make([]bootRep, n)
 	if err := pl.runIndexed(ctx, n, func(r int) {
-		reps[r] = pl.oneReplicate(rand.New(rand.NewSource(seed+int64(r))),
-			xs, targets, fitted, catFits, catRes, p.FactorFit, factor, facRes, scale, freq)
+		reps[r] = pl.oneReplicate(rand.New(rand.NewSource(pl.opt.Seed+int64(r))),
+			xs, targets, fitted, catFits, catRes, p.FactorFit, factor, facRes)
 	}); err != nil {
 		return err
 	}
@@ -173,8 +164,7 @@ func (pl *Pipeline) bootstrap(ctx context.Context, series *counters.Series, ex *
 // the time predictions.
 func (pl *Pipeline) oneReplicate(rng *rand.Rand, xs, targets []float64,
 	fitted []category, catFits []*fit.Fit, catRes [][]float64,
-	factorFit *fit.Fit, factor []float64, facRes []float64,
-	scale, freq float64) bootRep {
+	factorFit *fit.Fit, factor []float64, facRes []float64) bootRep {
 
 	rep := bootRep{
 		catLast:      make([]float64, len(fitted)),
@@ -195,7 +185,7 @@ func (pl *Pipeline) oneReplicate(rng *rand.Rand, xs, targets []float64,
 		}
 		ok := true
 		for i, x := range targets {
-			v := nf.Eval(x) * scale
+			v := nf.Eval(x) * pl.opt.DatasetScale
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				ok = false
 				break
@@ -223,7 +213,7 @@ func (pl *Pipeline) oneReplicate(rng *rand.Rand, xs, targets []float64,
 	}
 	times := make([]float64, len(targets))
 	for i, x := range targets {
-		t := nff.Eval(x) * (totals[i] / x) * freq
+		t := nff.Eval(x) * (totals[i] / x) * pl.opt.FreqRatio
 		if !finiteNonNegative(t) {
 			return rep
 		}

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 
 	"repro/internal/counters"
 	"repro/internal/fit"
@@ -30,10 +31,11 @@ import (
 // ErrTooFewSamples is returned when the series has fewer than two samples.
 var ErrTooFewSamples = errors.New("core: need at least two measurement samples")
 
-// Options configures a prediction.
+// Options configures a prediction. Every zero value means the field's
+// default; Resolved is the one place that turns each into it.
 type Options struct {
 	// Checkpoints is the c of the approximation procedure (2 or 4 in the
-	// paper). 0 means the fit package default (2).
+	// paper). 0 means fit.DefaultCheckpoints.
 	Checkpoints int
 	// UseSoftware includes software stall categories (aborted transaction
 	// cycles, lock spinning, barrier waits) in the extrapolation. This is
@@ -74,9 +76,9 @@ type Options struct {
 
 // Validate rejects option values that earlier versions silently "fixed".
 // Zero values always mean "use the default" and are valid; anything else
-// must be usable as given. It is called at the pipeline and service
-// boundaries, so a bad option surfaces as an error instead of a silent
-// substitution.
+// must be usable as given. NewPipeline validates once, and Fit,
+// Extrapolate and Times (so Run and Finish too) report the error, so a bad
+// option surfaces as an error instead of a silent substitution.
 func (o Options) Validate() error {
 	switch {
 	case o.Checkpoints < 0:
@@ -87,12 +89,58 @@ func (o Options) Validate() error {
 		return fmt.Errorf("core: negative bootstrap count %d", o.Bootstrap)
 	case o.CILevel != 0 && !(o.CILevel > 0 && o.CILevel < 100):
 		return fmt.Errorf("core: confidence level %g%% outside (0, 100)", o.CILevel)
-	case o.FreqRatio < 0:
-		return fmt.Errorf("core: negative frequency ratio %g", o.FreqRatio)
-	case o.DatasetScale < 0:
-		return fmt.Errorf("core: negative dataset scale %g", o.DatasetScale)
+	case !(o.FreqRatio >= 0 && o.FreqRatio <= math.MaxFloat64):
+		return fmt.Errorf("core: negative or non-finite frequency ratio %g", o.FreqRatio)
+	case !(o.DatasetScale >= 0 && o.DatasetScale <= math.MaxFloat64):
+		return fmt.Errorf("core: negative or non-finite data scale %g", o.DatasetScale)
 	}
 	return nil
+}
+
+// Resolved returns the options with every zero value replaced by its
+// default: the options NewPipeline runs with and Fingerprint describes.
+func (o Options) Resolved() Options {
+	if o.Checkpoints == 0 {
+		o.Checkpoints = fit.DefaultCheckpoints
+	}
+	if o.FreqRatio == 0 {
+		o.FreqRatio = 1
+	}
+	if o.DatasetScale == 0 {
+		o.DatasetScale = 1
+	}
+	if o.Workers == 0 {
+		o.Workers = runtime.NumCPU()
+	}
+	if o.CILevel == 0 {
+		o.CILevel = DefaultCILevel
+	}
+	if o.Seed == 0 {
+		o.Seed = 1
+	}
+	return o
+}
+
+// Fingerprint is the canonical form of every option that can change a
+// prediction: the key a memo of finished predictions looks results up by.
+// It describes the resolved options, so spelling a default and omitting it
+// fingerprint alike. Workers and Gate are absent: they are throughput
+// knobs, never result knobs (results are worker-count independent by
+// construction). The bootstrap's level and seed count only when the
+// bootstrap runs. Options carrying a custom kernel library have no
+// canonical form: ok is false, and no memo may key on them.
+func (o Options) Fingerprint() (fp string, ok bool) {
+	if o.Kernels != nil {
+		return "", false
+	}
+	o = o.Resolved()
+	ci, seed := 0.0, int64(0)
+	if o.Bootstrap > 0 {
+		ci, seed = o.CILevel, o.Seed
+	}
+	return fmt.Sprintf("soft=%t,fe=%t,chk=%d,freq=%g,ds=%g,boot=%d,ci=%g,seed=%d",
+		o.UseSoftware, o.IncludeFrontend, o.Checkpoints, o.FreqRatio, o.DatasetScale,
+		o.Bootstrap, ci, seed), true
 }
 
 // Prediction is the result of one ESTIMA run.

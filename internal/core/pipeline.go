@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -28,21 +27,22 @@ import (
 // turns point estimates into confidence bands — and Predict is a thin
 // wrapper over Run.
 type Pipeline struct {
+	// opt holds the resolved options; err is the validation verdict on
+	// the options as given.
 	opt Options
+	err error
 }
 
-// NewPipeline captures the options shared by all stages.
+// NewPipeline validates the options shared by all stages and resolves
+// their defaults, once.
 func NewPipeline(opt Options) *Pipeline {
-	return &Pipeline{opt: opt}
+	return &Pipeline{opt: opt.Resolved(), err: opt.Validate()}
 }
 
-// workers bounds the stage fan-out: Options.Workers (default NumCPU),
-// never more than the number of independent work items.
+// workers bounds the stage fan-out: Options.Workers, never more than the
+// number of independent work items.
 func (pl *Pipeline) workers(items int) int {
 	w := pl.opt.Workers
-	if w <= 0 {
-		w = runtime.NumCPU()
-	}
 	if w > items {
 		w = items
 	}
@@ -111,22 +111,6 @@ func (pl *Pipeline) fitOptions(targets []float64) fit.Options {
 		MaxGrowth:    20,
 		TailSlopeCap: 4,
 	}
-}
-
-// dataScale returns the effective weak-scaling dataset factor.
-func (pl *Pipeline) dataScale() float64 {
-	if pl.opt.DatasetScale > 0 {
-		return pl.opt.DatasetScale
-	}
-	return 1
-}
-
-// freqRatio returns the effective cross-machine frequency ratio.
-func (pl *Pipeline) freqRatio() float64 {
-	if pl.opt.FreqRatio > 0 {
-		return pl.opt.FreqRatio
-	}
-	return 1
 }
 
 // Targets normalizes raw target core counts into the stage x-axis:
@@ -210,8 +194,8 @@ type Extrapolation struct {
 // regardless of worker count. Cancelling ctx aborts the fan-out and
 // returns ctx.Err().
 func (pl *Pipeline) Extrapolate(ctx context.Context, series *counters.Series, targets []float64) (*Extrapolation, error) {
-	if err := pl.opt.Validate(); err != nil {
-		return nil, err
+	if pl.err != nil {
+		return nil, pl.err
 	}
 	if len(series.Samples) < 2 {
 		return nil, ErrTooFewSamples
@@ -221,7 +205,6 @@ func (pl *Pipeline) Extrapolate(ctx context.Context, series *counters.Series, ta
 	}
 	xs := series.Cores()
 	fopt := pl.fitOptions(targets)
-	scale := pl.dataScale()
 	cats := categories(series, pl.opt)
 
 	ex := &Extrapolation{
@@ -246,7 +229,7 @@ func (pl *Pipeline) Extrapolate(ctx context.Context, series *counters.Series, ta
 			results[i] = result{err: err}
 			return
 		}
-		results[i] = result{f: f, vals: evalClamped(f, targets, scale)}
+		results[i] = result{f: f, vals: evalClamped(f, targets, pl.opt.DatasetScale)}
 	}); err != nil {
 		return nil, err
 	}
@@ -338,10 +321,12 @@ func measuredFactor(series *counters.Series, opt Options) ([]float64, error) {
 // Times applies the selected factor and the cross-machine frequency ratio
 // to the combined stalls per core, producing execution-time predictions.
 func (pl *Pipeline) Times(ffit *fit.Fit, targets, stallsPerCore []float64) ([]float64, error) {
-	freq := pl.freqRatio()
+	if pl.err != nil {
+		return nil, pl.err
+	}
 	out := make([]float64, len(targets))
 	for i, x := range targets {
-		t := ffit.Eval(x) * stallsPerCore[i] * freq
+		t := ffit.Eval(x) * stallsPerCore[i] * pl.opt.FreqRatio
 		if !finiteNonNegative(t) {
 			return nil, fmt.Errorf("core: unrealistic time prediction %v at %v cores", t, x)
 		}
@@ -375,8 +360,8 @@ type FitArtifact struct {
 // SelectFactor — and returns their result as a reusable artifact. Cancelling
 // ctx aborts the fitting worker pool and returns ctx.Err().
 func (pl *Pipeline) Fit(ctx context.Context, series *counters.Series, targetCores []int) (*FitArtifact, error) {
-	if err := pl.opt.Validate(); err != nil {
-		return nil, err
+	if pl.err != nil {
+		return nil, pl.err
 	}
 	if len(series.Samples) < 2 {
 		return nil, ErrTooFewSamples

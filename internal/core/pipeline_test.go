@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/counters"
+	"repro/internal/fit"
 	"repro/internal/machine"
 	"repro/internal/sim"
 	"repro/internal/workloads"
@@ -277,7 +278,13 @@ func TestOptionsValidateRejectsBadValues(t *testing.T) {
 		{CILevel: math.Inf(1)},
 		{CILevel: math.Inf(-1)},
 		{FreqRatio: -1},
+		{FreqRatio: math.NaN()},
+		{FreqRatio: math.Inf(1)},
+		{FreqRatio: math.Inf(-1)},
 		{DatasetScale: -0.5},
+		{DatasetScale: math.NaN()},
+		{DatasetScale: math.Inf(1)},
+		{DatasetScale: math.Inf(-1)},
 	}
 	s := syntheticSeries(12)
 	for _, opt := range bad {
@@ -297,6 +304,56 @@ func TestOptionsValidateRejectsBadValues(t *testing.T) {
 		if err := opt.Validate(); err != nil {
 			t.Errorf("Validate(%+v) = %v, want nil", opt, err)
 		}
+	}
+}
+
+// TestOptionsFingerprintNormalizesDefaults: spelling a default explicitly
+// must share artifacts with omitting it, and real option changes must not.
+func TestOptionsFingerprintNormalizesDefaults(t *testing.T) {
+	fingerprint := func(o Options) string {
+		t.Helper()
+		fp, ok := o.Fingerprint()
+		if !ok {
+			t.Fatalf("Fingerprint(%+v) has no canonical form", o)
+		}
+		return fp
+	}
+	base := fingerprint(Options{})
+	same := []Options{
+		{Checkpoints: 2},
+		{FreqRatio: 1},
+		{DatasetScale: 1},
+		{Workers: 7},                // throughput knob, never a result knob
+		{Gate: make(chan struct{})}, // same
+		{CILevel: 42, Seed: 9},      // meaningless without Bootstrap
+	}
+	for _, opt := range same {
+		if got := fingerprint(opt); got != base {
+			t.Errorf("fingerprint(%+v) = %q, want %q", opt, got, base)
+		}
+	}
+	boot := fingerprint(Options{Bootstrap: 50})
+	if fingerprint(Options{Bootstrap: 50, CILevel: DefaultCILevel, Seed: 1}) != boot {
+		t.Error("bootstrap defaults must normalize")
+	}
+	diff := []Options{
+		{UseSoftware: true},
+		{IncludeFrontend: true},
+		{Checkpoints: 4},
+		{FreqRatio: 2},
+		{DatasetScale: 2},
+		{Bootstrap: 50},
+	}
+	for _, opt := range diff {
+		if fingerprint(opt) == base {
+			t.Errorf("fingerprint(%+v) must differ from the zero options", opt)
+		}
+	}
+	if fingerprint(Options{Bootstrap: 50, Seed: 2}) == boot {
+		t.Error("bootstrap seed must be part of the fingerprint")
+	}
+	if _, ok := (Options{Kernels: []*fit.Kernel{fit.Linear}}).Fingerprint(); ok {
+		t.Error("a custom kernel library must have no canonical fingerprint")
 	}
 }
 

@@ -13,8 +13,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math"
-	"runtime"
 	"sort"
 
 	"repro/internal/core"
@@ -28,24 +26,13 @@ import (
 
 // Config controls an experiment run.
 type Config struct {
-	// Scale shrinks the datasets (1 = paper-like runs; tests use less).
+	// Scale shrinks the datasets (1 = paper-like runs; tests use less),
+	// resolved by sim.ResolveScale: 0 means 1.
 	Scale float64
-	// Workers bounds concurrent simulations; 0 means NumCPU.
-	Workers int
 	// CacheDir, when set, persists collected series in an internal/store
 	// cache there, so repeated experiment and bench runs across processes
 	// replay measurements instead of re-simulating them.
 	CacheDir string
-}
-
-func (c Config) withDefaults() Config {
-	if c.Scale <= 0 {
-		c.Scale = 1
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.NumCPU()
-	}
-	return c
 }
 
 // Result is one regenerated experiment.
@@ -93,14 +80,16 @@ func Title(id string) string {
 // Run executes one experiment by id. Cancelling ctx aborts measurement
 // collection and every prediction worker pool the experiment opened.
 func Run(ctx context.Context, id string, cfg Config) (*Result, error) {
-	// A NaN scale passes withDefaults' scale <= 0 test and would print a
-	// wrong table rather than fail.
-	if math.IsNaN(cfg.Scale) || math.IsInf(cfg.Scale, 0) {
-		return nil, fmt.Errorf("experiment %s: non-finite scale %g", id, cfg.Scale)
+	// Runners multiply the base scale by weak-scaling factors, so it is
+	// resolved before any of them sees it.
+	scale, err := sim.ResolveScale(cfg.Scale)
+	if err != nil {
+		return nil, fmt.Errorf("experiment %s: %w", id, err)
 	}
+	cfg.Scale = scale
 	for _, r := range runners {
 		if r.id == id {
-			e := newEnv(ctx, cfg.withDefaults())
+			e := newEnv(ctx, cfg)
 			res, err := r.fn(e)
 			if err != nil {
 				return nil, fmt.Errorf("experiment %s: %w", id, err)
@@ -138,7 +127,6 @@ func newEnv(ctx context.Context, cfg Config) *env {
 	}
 	svcCfg := service.Config{
 		CacheDir: cfg.CacheDir,
-		Workers:  cfg.Workers,
 		// Indirect through the env so tests can swap e.collect after
 		// construction.
 		CollectSample: func(w sim.Workload, m *machine.Config, cores int, scale float64) (counters.Sample, error) {

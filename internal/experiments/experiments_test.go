@@ -112,7 +112,7 @@ func TestFig6AtTinyScale(t *testing.T) {
 // CacheDir must return the identical series without invoking the simulator.
 func TestSeriesWarmCacheAcrossEnvs(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Scale: 0.05, Workers: 2, CacheDir: dir}.withDefaults()
+	cfg := Config{Scale: 0.05, CacheDir: dir}
 	m := machine.Opteron()
 
 	cold := newEnv(bg, cfg)
@@ -160,7 +160,7 @@ func TestSeriesWarmCacheAcrossEnvs(t *testing.T) {
 // TestSeriesNoCacheDirStillWorks pins the default path: without a CacheDir
 // the env memoizes in process and never persists.
 func TestSeriesNoCacheDirStillWorks(t *testing.T) {
-	e := newEnv(bg, Config{Scale: 0.05, Workers: 2}.withDefaults())
+	e := newEnv(bg, Config{Scale: 0.05})
 	var calls atomic.Int64
 	e.collect = func(w sim.Workload, mc *machine.Config, cores int, scale float64) (counters.Sample, error) {
 		calls.Add(1)

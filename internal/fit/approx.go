@@ -50,13 +50,21 @@ func (f *Fit) String() string {
 	return fmt.Sprintf("%s(prefix=%d, cpRMSE=%.4g)", f.Kernel.Name, f.PrefixLen, f.CheckpointRMSE)
 }
 
+// DefaultCheckpoints is the paper's c (§3.1.2): the number of
+// highest-core-count measurements held out to score candidates when
+// Options.Checkpoints is 0.
+const DefaultCheckpoints = 2
+
+// minPrefix is the smallest prefix length fitted: the paper's "repeated
+// for i in 3..n".
+const minPrefix = 3
+
 // Options configures the approximation procedure of Figure 4.
 type Options struct {
 	// Checkpoints is c, the number of highest-core-count measurements held
-	// out to score candidate functions. The paper uses 2 and 4. Default 2.
+	// out to score candidate functions. The paper uses 2 and 4. 0 means
+	// DefaultCheckpoints.
 	Checkpoints int
-	// MinPrefix is the smallest prefix length fitted. Default 3.
-	MinPrefix int
 	// MaxX is the largest core count the function must stay realistic up
 	// to. Default: 4 × the largest measured x.
 	MaxX float64
@@ -87,10 +95,7 @@ type Options struct {
 
 func (o Options) withDefaults(xs []float64) Options {
 	if o.Checkpoints <= 0 {
-		o.Checkpoints = 2
-	}
-	if o.MinPrefix <= 0 {
-		o.MinPrefix = 3
+		o.Checkpoints = DefaultCheckpoints
 	}
 	if o.MaxX <= 0 && len(xs) > 0 {
 		o.MaxX = 4 * xs[len(xs)-1]
@@ -110,7 +115,7 @@ func (o Options) withDefaults(xs []float64) Options {
 // Approximate runs the paper's approximation procedure on the measurements
 // (xs must be strictly increasing core counts): designate the Checkpoints
 // highest measurements as checkpoints, fit every kernel on every prefix
-// i ∈ [MinPrefix, n] of the remaining points, discard unrealistic functions,
+// i ∈ [3, n] of the remaining points, discard unrealistic functions,
 // and return the candidate with minimum RMSE at the checkpoints.
 func Approximate(xs, ys []float64, opt Options) (*Fit, error) {
 	cands, err := CandidateFits(xs, ys, opt)
@@ -153,8 +158,8 @@ func CandidateFits(xs, ys []float64, opt Options) ([]*Fit, error) {
 	c := opt.Checkpoints
 	n := m - c
 	var prefixes []int
-	if n >= opt.MinPrefix {
-		for i := opt.MinPrefix; i <= n; i++ {
+	if n >= minPrefix {
+		for i := minPrefix; i <= n; i++ {
 			prefixes = append(prefixes, i)
 		}
 	} else {

@@ -8,8 +8,6 @@ import (
 	"strconv"
 
 	"repro/internal/core"
-	"repro/internal/machine"
-	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/workloads"
 )
@@ -116,11 +114,11 @@ type DiagnoseResponse struct {
 	Summary string `json:"summary"`
 }
 
-// Diagnose answers a DiagnoseRequest. It assembles the exact option shape
-// Predict uses and goes through the same planner memo, so a scenario that
-// was already predicted (or swept) diagnoses with zero new fits and zero
-// new measurements — the diagnosis itself is pure post-processing of the
-// memoized prediction.
+// Diagnose answers a DiagnoseRequest. It resolves its scenario and options
+// exactly as Predict does and goes through the same planner memo, so a
+// scenario that was already predicted (or swept) diagnoses with zero new
+// fits and zero new measurements — the diagnosis itself is pure
+// post-processing of the memoized prediction.
 func (s *Service) Diagnose(ctx context.Context, req DiagnoseRequest) (*DiagnoseResponse, error) {
 	if err := checkVersion(req.APIVersion); err != nil {
 		return nil, err
@@ -129,33 +127,15 @@ func (s *Service) Diagnose(ctx context.Context, req DiagnoseRequest) (*DiagnoseR
 		UseSoftware: req.Soft,
 		Checkpoints: req.Checkpoints,
 		Workers:     s.cfg.Workers,
-		Gate:        s.sem,
 	}
-	if err := opt.Validate(); err != nil {
-		return nil, &BadRequestError{Err: err}
+	if err := checkOptions(opt); err != nil {
+		return nil, err
 	}
-	w, mm, err := resolve(req.Workload, req.Machine)
+	sc, err := resolveScenario(req.Workload, req.Machine, req.Target, req.MeasCores, req.Scale)
 	if err != nil {
 		return nil, err
 	}
-	tm := mm
-	if req.Target != "" {
-		if tm, err = machine.Lookup(req.Target); err != nil {
-			return nil, &BadRequestError{Err: err}
-		}
-	}
-	opt.FreqRatio = mm.FreqGHz / tm.FreqGHz
-	measCores := req.MeasCores
-	if measCores <= 0 {
-		measCores = mm.OneProcessorCores()
-	}
-	scale, err := checkScale(req.Scale)
-	if err != nil {
-		return nil, err
-	}
-	targets := sim.CoreRange(tm.NumCores())
-
-	pred, hit, err := s.predicted(ctx, w, mm, measCores, scale, targets, opt)
+	pred, hit, err := s.predictScenario(ctx, &sc, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -166,11 +146,11 @@ func (s *Service) Diagnose(ctx context.Context, req DiagnoseRequest) (*DiagnoseR
 
 	resp := &DiagnoseResponse{
 		APIVersion:     APIVersion,
-		Workload:       w.Name(),
-		Machine:        mm.Name,
-		Target:         tm.Name,
-		MeasCores:      measCores,
-		Scale:          scale,
+		Workload:       sc.w.Name(),
+		Machine:        sc.mach.Name,
+		Target:         sc.target.Name,
+		MeasCores:      sc.measCores,
+		Scale:          sc.scale,
 		CacheHit:       hit,
 		Dominant:       diag.Dominant,
 		Killer:         diag.Killer,
@@ -202,7 +182,7 @@ func (s *Service) Diagnose(ctx context.Context, req DiagnoseRequest) (*DiagnoseR
 	for _, x := range diag.Crossovers {
 		resp.Crossovers = append(resp.Crossovers, DiagnoseCrossover{Cores: x.Cores, From: x.From, To: x.To})
 	}
-	resp.Relief = reliefFor(w.Name(), resp.KillerClass, resp.KillerSharePct)
+	resp.Relief = reliefFor(resp.Workload, resp.KillerClass, resp.KillerSharePct)
 	resp.Summary = diagnoseSummary(resp)
 	return resp, nil
 }

@@ -21,6 +21,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/core"
@@ -205,8 +206,9 @@ func (s *Service) explore(ctx context.Context, req ExploreRequest, run CellRunne
 	if req.Budget < 0 {
 		return nil, badRequest("negative exploration budget %d", req.Budget)
 	}
-	if err := checkFinite("target band width", req.TargetBandPct); err != nil {
-		return nil, err
+	if math.IsNaN(req.TargetBandPct) || math.IsInf(req.TargetBandPct, 0) {
+		// JSON cannot carry a non-finite number, but in-process callers can.
+		return nil, badRequest("non-finite target band width %g", req.TargetBandPct)
 	}
 	if req.TargetBandPct < 0 {
 		return nil, badRequest("negative target band width %g%%", req.TargetBandPct)
@@ -259,12 +261,12 @@ func (s *Service) explore(ctx context.Context, req ExploreRequest, run CellRunne
 		Machine:       plan.Machines[0],
 		MeasCores:     first.Request.MeasCores,
 		Scale:         first.Request.Scale,
-		TargetCores:   first.mach.NumCores(),
+		TargetCores:   first.sc.target.NumCores(),
 		TargetBandPct: target,
 		Budget:        budget,
 		RoundSize:     roundSize,
 		Bootstrap:     boot,
-		CILevel:       effectiveCILevel(req.CILevel),
+		CILevel:       cellOptions(first.Request).Resolved().CILevel,
 		Seed:          req.Seed,
 		Region:        n,
 		FullGridSims:  n,
@@ -514,12 +516,4 @@ func canonicalRegion(region string) string {
 		return region
 	}
 	return sp.String()
-}
-
-// effectiveCILevel is the confidence level a bootstrap actually runs at.
-func effectiveCILevel(ci float64) float64 {
-	if ci <= 0 || ci >= 100 {
-		return core.DefaultCILevel
-	}
-	return ci
 }

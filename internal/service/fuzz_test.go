@@ -124,7 +124,7 @@ func FuzzDecodeExploreRequest(f *testing.F) {
 			return
 		}
 		checkVersion(er.APIVersion)
-		effectiveCILevel(er.CILevel)
+		cellOptions(CellRequest{Soft: er.Soft, Bootstrap: er.Bootstrap, CILevel: er.CILevel, Seed: er.Seed}).Fingerprint()
 		canonicalRegion(er.Workload)
 		if _, err := json.Marshal(er); err != nil {
 			t.Fatalf("accepted ExploreRequest does not re-encode: %v", err)

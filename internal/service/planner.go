@@ -16,7 +16,6 @@ package service
 
 import (
 	"context"
-	"fmt"
 	"strconv"
 	"strings"
 	"sync"
@@ -71,47 +70,14 @@ type fitResult struct {
 	seriesHit bool
 }
 
-// optionsFingerprint is the canonical form of every core.Options field that
-// can change a prediction. Workers and Gate are deliberately absent: they
-// are throughput knobs, never result knobs (results are worker-count
-// independent by construction). Zero values that the pipeline documents as
-// "use the default" are normalized to that default, so requests spelling
-// the default explicitly share artifacts with requests omitting it.
-// Options carrying a custom kernel library have no canonical form; callers
-// must bypass the memo for them (see predicted).
-func optionsFingerprint(opt core.Options) string {
-	freq := opt.FreqRatio
-	if freq <= 0 {
-		freq = 1
-	}
-	ds := opt.DatasetScale
-	if ds <= 0 {
-		ds = 1
-	}
-	ci, seed := 0.0, int64(0)
-	if opt.Bootstrap > 0 {
-		ci = opt.CILevel
-		if ci <= 0 || ci >= 100 {
-			ci = core.DefaultCILevel
-		}
-		seed = opt.Seed
-		if seed == 0 {
-			seed = 1
-		}
-	}
-	return fmt.Sprintf("soft=%t,fe=%t,chk=%d,freq=%g,ds=%g,boot=%d,ci=%g,seed=%d",
-		opt.UseSoftware, opt.IncludeFrontend, opt.Checkpoints, freq, ds,
-		opt.Bootstrap, ci, seed)
-}
-
 // artifactKey identifies one fitted-model artifact: the measurement
 // series' content address (the store key hash) plus the options
-// fingerprint and the prediction targets.
-func artifactKey(sk store.Key, targets []int, opt core.Options) string {
+// fingerprint (core.Options.Fingerprint) and the prediction targets.
+func artifactKey(sk store.Key, targets []int, fingerprint string) string {
 	var b strings.Builder
 	b.WriteString(sk.Hash())
 	b.WriteString("|")
-	b.WriteString(optionsFingerprint(opt))
+	b.WriteString(fingerprint)
 	b.WriteString("|t=")
 	for i, t := range targets {
 		if i > 0 {
@@ -132,32 +98,39 @@ func (s *Service) FitCacheStats() (computed, memoHits int64) {
 
 // Predicted is the planner's in-process entry point, shared by Predict,
 // every sweep cell and the experiment harness: measure (or replay) the
-// contiguous 1..measCores window of workload w on m at scale, then fit and
-// predict targets under opt — memoized in the fitted-model LRU, so repeated
-// requests for the same input skip both collection and fitting. hit reports
-// whether the measurement series was replayed rather than simulated.
-// Options carrying a custom kernel library bypass the memo (kernels have no
-// canonical fingerprint) but still share the measurement layer.
+// contiguous 1..measCores window of workload w on m at scale (resolved by
+// sim.ResolveScale), then fit and predict targets under opt — memoized in
+// the fitted-model LRU, so repeated requests for the same input skip both
+// collection and fitting. hit reports whether the measurement series was
+// replayed rather than simulated. Options carrying a custom kernel library
+// bypass the memo (kernels have no canonical fingerprint) but still share
+// the measurement layer.
 func (s *Service) Predicted(ctx context.Context, w sim.Workload, m *machine.Config, measCores int, scale float64, targets []int, opt core.Options) (*core.Prediction, bool, error) {
+	scale, err := checkScale(scale)
+	if err != nil {
+		return nil, false, err
+	}
 	return s.predicted(ctx, w, m, measCores, scale, targets, opt)
 }
 
+// predicted is Predicted at a resolved scale. The service semaphore gates
+// the fitting and bootstrap work, so concurrent requests share one CPU
+// budget instead of each opening a full-width pool.
 func (s *Service) predicted(ctx context.Context, w sim.Workload, m *machine.Config, measCores int, scale float64, targets []int, opt core.Options) (*core.Prediction, bool, error) {
-	if opt.Kernels != nil {
-		// Uncacheable options still share the measurement layer and the
-		// service CPU gate.
+	opt.Gate = s.sem
+	fp, ok := opt.Fingerprint()
+	if !ok {
 		ser, hit, err := s.series(ctx, w, m, sim.CoreRange(measCores), scale)
 		if err != nil {
 			return nil, hit, err
 		}
-		opt.Gate = s.sem
 		pred, err := core.PredictContext(ctx, ser, targets, opt)
 		return pred, hit, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
-	key := artifactKey(seriesKey(w.Name(), m.Name, measCores, scale), targets, opt)
+	key := artifactKey(seriesKey(w.Name(), m.Name, measCores, scale), targets, fp)
 	if r, ok := s.fits.Get(key); ok {
 		return r.pred, r.seriesHit, nil
 	}
@@ -177,7 +150,6 @@ func (s *Service) fit(ctx context.Context, key string, w sim.Workload, m *machin
 	if err != nil {
 		return fitResult{seriesHit: hit}, err
 	}
-	opt.Gate = s.sem
 	pl := core.NewPipeline(opt)
 	art, err := pl.Fit(ctx, ser, targets)
 	if err != nil {
@@ -185,6 +157,79 @@ func (s *Service) fit(ctx context.Context, key string, w sim.Workload, m *machin
 	}
 	pred, err := pl.Finish(ctx, art)
 	return fitResult{pred, hit}, err
+}
+
+// scenario is a simulate-path request resolved once: workload w measured
+// on mach over the 1..measCores window at scale, predicted for every core
+// count of target. Predict, Diagnose, Cell and every planned sweep or
+// explore cell resolve their request into one, so each applies the same
+// defaults.
+type scenario struct {
+	w            sim.Workload
+	mach, target *machine.Config
+	measCores    int
+	scale        float64
+	// targets are 1..target.NumCores().
+	targets []int
+}
+
+// resolveScenario resolves a simulate-path request: the workload and
+// machine names (with did-you-mean suggestions), the target machine ("" is
+// the measurement machine), the measurement window (see newScenario) and
+// the scale (see checkScale), in that order.
+func resolveScenario(workload, mach, target string, measCores int, scale float64) (scenario, error) {
+	w, m, err := resolve(workload, mach)
+	if err != nil {
+		return scenario{}, err
+	}
+	tm, err := targetMachine(target, m)
+	if err != nil {
+		return scenario{}, err
+	}
+	if scale, err = checkScale(scale); err != nil {
+		return scenario{}, err
+	}
+	return newScenario(w, m, tm, measCores, scale, sim.CoreRange(tm.NumCores())), nil
+}
+
+// targetMachine resolves a request's target machine: "" means the
+// measurement machine m.
+func targetMachine(target string, m *machine.Config) (*machine.Config, error) {
+	if target == "" {
+		return m, nil
+	}
+	tm, err := machine.Lookup(target)
+	if err != nil {
+		return nil, &BadRequestError{Err: err}
+	}
+	return tm, nil
+}
+
+// newScenario assembles a scenario from resolved parts, applying the
+// measurement-window rule: meas cores 0 (or below) means one processor of
+// the measurement machine.
+func newScenario(w sim.Workload, m, tm *machine.Config, measCores int, scale float64, targets []int) scenario {
+	if measCores <= 0 {
+		measCores = m.OneProcessorCores()
+	}
+	return scenario{w: w, mach: m, target: tm, measCores: measCores, scale: scale, targets: targets}
+}
+
+// freqRatio is the scenario's cross-machine frequency ratio (§4.3):
+// measurement over target frequency, or 0 (no scaling) when the
+// measurement machine of a replayed series is not a preset.
+func (sc *scenario) freqRatio() float64 {
+	if sc.mach == nil {
+		return 0
+	}
+	return sc.mach.FreqGHz / sc.target.FreqGHz
+}
+
+// predictScenario predicts the scenario under opt through the fit memo,
+// scaled by its frequency ratio.
+func (s *Service) predictScenario(ctx context.Context, sc *scenario, opt core.Options) (*core.Prediction, bool, error) {
+	opt.FreqRatio = sc.freqRatio()
+	return s.predicted(ctx, sc.w, sc.mach, sc.measCores, sc.scale, sc.targets, opt)
 }
 
 // PlannedCell is one unit of a planned sweep or explore: the request that
@@ -198,9 +243,7 @@ type PlannedCell struct {
 	// execution.
 	FitKey string
 
-	w       sim.Workload
-	mach    *machine.Config
-	targets []int
+	sc scenario
 }
 
 // PlannedSweep is a validated SweepRequest decomposed into deduplicated
@@ -224,20 +267,14 @@ type PlannedSweep struct {
 // coordinator substitutes its fleet fan-out (see Tier).
 type CellRunner func(ctx context.Context, cell *PlannedCell) SweepCell
 
-// planCell resolves one cell of w on m at scale under the options req
-// carries (MeasCores 0 means one processor of m). FitKey is left to
-// PlanSweep: a lone cell needs no dedup identity.
-func planCell(w sim.Workload, m *machine.Config, scale float64, targets []int, req CellRequest) PlannedCell {
-	measCores := req.MeasCores
-	if measCores <= 0 {
-		measCores = m.OneProcessorCores()
-	}
+// planCell is the planned cell of a resolved scenario under the options
+// req carries. FitKey is left to PlanSweep: a lone cell needs no dedup
+// identity.
+func planCell(sc scenario, req CellRequest) PlannedCell {
 	return PlannedCell{
-		Request: CellRequest{Workload: w.Name(), Machine: m.Name, MeasCores: measCores, Scale: scale,
+		Request: CellRequest{Workload: sc.w.Name(), Machine: sc.mach.Name, MeasCores: sc.measCores, Scale: sc.scale,
 			Soft: req.Soft, Bootstrap: req.Bootstrap, CILevel: req.CILevel, Seed: req.Seed},
-		w:       w,
-		mach:    m,
-		targets: targets,
+		sc: sc,
 	}
 }
 
@@ -248,17 +285,14 @@ func planCell(w sim.Workload, m *machine.Config, scale float64, targets []int, r
 // test can lift it to drive a request that runs far longer than its bound.
 var maxBootstrap = 10000
 
-// checkBootstrap validates the bootstrap options every request that runs
-// the bootstrap shares.
-func checkBootstrap(bootstrap int, ciLevel float64) error {
-	if bootstrap < 0 {
-		return badRequest("negative bootstrap count %d", bootstrap)
+// checkOptions validates a request's pipeline options: core.Options' own
+// rules, then the service's bootstrap bound.
+func checkOptions(opt core.Options) error {
+	if err := opt.Validate(); err != nil {
+		return &BadRequestError{Err: err}
 	}
-	if bootstrap > maxBootstrap {
-		return badRequest("bootstrap count %d above the limit of %d", bootstrap, maxBootstrap)
-	}
-	if ciLevel != 0 && !(ciLevel > 0 && ciLevel < 100) {
-		return badRequest("confidence level %g%% outside (0, 100)", ciLevel)
+	if opt.Bootstrap > maxBootstrap {
+		return badRequest("bootstrap count %d above the limit of %d", opt.Bootstrap, maxBootstrap)
 	}
 	return nil
 }
@@ -274,8 +308,8 @@ func cellOptions(req CellRequest) core.Options {
 }
 
 // PlanSweep validates a SweepRequest and decomposes it into the cell DAG
-// without executing it. Validation order (version, bootstrap options,
-// workloads, machines) is part of the API surface: it decides which error a
+// without executing it. Validation order (version, options, workloads,
+// machines, scale) is part of the API surface: it decides which error a
 // doubly bad request reports. Identical validation and identical plan order
 // are what make coordinator responses byte-identical to single-process
 // ones.
@@ -283,7 +317,9 @@ func (s *Service) PlanSweep(req SweepRequest) (*PlannedSweep, error) {
 	if err := checkVersion(req.APIVersion); err != nil {
 		return nil, err
 	}
-	if err := checkBootstrap(req.Bootstrap, req.CILevel); err != nil {
+	opts := CellRequest{Soft: req.Soft, Bootstrap: req.Bootstrap, CILevel: req.CILevel, Seed: req.Seed}
+	cellOpt := cellOptions(opts)
+	if err := checkOptions(cellOpt); err != nil {
 		return nil, err
 	}
 	// Sweeps accept value grids: each requested workload or machine entry
@@ -374,15 +410,14 @@ func (s *Service) PlanSweep(req SweepRequest) (*PlannedSweep, error) {
 		plan.Machines = append(plan.Machines, m.Name)
 		machTargets[mi] = sim.CoreRange(m.NumCores())
 	}
-	opts := CellRequest{MeasCores: req.MeasCores, Soft: req.Soft, Bootstrap: req.Bootstrap,
-		CILevel: req.CILevel, Seed: req.Seed}
+	fingerprint, _ := cellOpt.Fingerprint()
 	seriesSeen := map[store.Key]bool{}
 	fitSeen := map[string]bool{}
 	for wi, wl := range wls {
 		for mi, m := range machs {
-			cell := planCell(ws[wi], m, scale, machTargets[mi], opts)
+			cell := planCell(newScenario(ws[wi], m, m, req.MeasCores, scale, machTargets[mi]), opts)
 			sk := seriesKey(wl, m.Name, cell.Request.MeasCores, scale)
-			cell.FitKey = artifactKey(sk, cell.targets, cellOptions(opts))
+			cell.FitKey = artifactKey(sk, cell.sc.targets, fingerprint)
 			if !seriesSeen[sk] {
 				seriesSeen[sk] = true
 				plan.DistinctSeries++
@@ -426,18 +461,14 @@ func (s *Service) Cell(ctx context.Context, req CellRequest) (*CellResponse, err
 	if err := checkVersion(req.APIVersion); err != nil {
 		return nil, err
 	}
-	if err := checkBootstrap(req.Bootstrap, req.CILevel); err != nil {
+	if err := checkOptions(cellOptions(req)); err != nil {
 		return nil, err
 	}
-	w, m, err := resolve(req.Workload, req.Machine)
+	sc, err := resolveScenario(req.Workload, req.Machine, "", req.MeasCores, req.Scale)
 	if err != nil {
 		return nil, err
 	}
-	scale, err := checkScale(req.Scale)
-	if err != nil {
-		return nil, err
-	}
-	pc := planCell(w, m, scale, sim.CoreRange(m.NumCores()), req)
+	pc := planCell(sc, req)
 	cell := s.runCell(ctx, &pc)
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -452,9 +483,9 @@ func (s *Service) runCell(ctx context.Context, pc *PlannedCell) SweepCell {
 		Workload:    r.Workload,
 		Machine:     r.Machine,
 		MeasCores:   r.MeasCores,
-		TargetCores: pc.mach.NumCores(),
+		TargetCores: pc.sc.target.NumCores(),
 	}
-	pred, hit, err := s.predicted(ctx, pc.w, pc.mach, r.MeasCores, r.Scale, pc.targets, cellOptions(*r))
+	pred, hit, err := s.predictScenario(ctx, &pc.sc, cellOptions(*r))
 	cell.CacheHit = hit
 	if err != nil {
 		cell.Error = err.Error()

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/counters"
 	"repro/internal/flight"
 	"repro/internal/machine"
@@ -344,41 +343,20 @@ func TestSweepStreamEmitErrorAborts(t *testing.T) {
 	}
 }
 
-// TestOptionsFingerprintNormalizesDefaults: spelling a default explicitly
-// must share artifacts with omitting it, and real option changes must not.
-func TestOptionsFingerprintNormalizesDefaults(t *testing.T) {
-	base := core.Options{}
-	same := []core.Options{
-		{FreqRatio: 1},
-		{DatasetScale: 1},
-		{Workers: 7},                // throughput knob, never a result knob
-		{Gate: make(chan struct{})}, // same
-		{CILevel: 42, Seed: 9},      // meaningless without Bootstrap
-	}
-	for _, opt := range same {
-		if got, want := optionsFingerprint(opt), optionsFingerprint(base); got != want {
-			t.Errorf("fingerprint(%+v) = %q, want %q", opt, got, want)
+// Spelling the default checkpoint count shares the fit of leaving it out:
+// a Predict without checkpoints, one with the default 2 and a Diagnose of
+// the same scenario compute one fit between them.
+func TestDefaultCheckpointsShareOneFit(t *testing.T) {
+	svc := newTestService(t, Config{})
+	for _, chk := range []int{0, 2} {
+		if _, err := svc.Predict(bg, PredictRequest{Workload: "genome", Machine: "Haswell", Scale: 0.05, Checkpoints: chk}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	boot := core.Options{Bootstrap: 50}
-	bootDefaults := core.Options{Bootstrap: 50, CILevel: core.DefaultCILevel, Seed: 1}
-	if optionsFingerprint(boot) != optionsFingerprint(bootDefaults) {
-		t.Error("bootstrap defaults must normalize")
+	if _, err := svc.Diagnose(bg, DiagnoseRequest{Workload: "genome", Machine: "Haswell", Scale: 0.05, Checkpoints: 2}); err != nil {
+		t.Fatal(err)
 	}
-	diff := []core.Options{
-		{UseSoftware: true},
-		{IncludeFrontend: true},
-		{Checkpoints: 4},
-		{FreqRatio: 2},
-		{DatasetScale: 2},
-		{Bootstrap: 50},
-	}
-	for _, opt := range diff {
-		if optionsFingerprint(opt) == optionsFingerprint(base) {
-			t.Errorf("fingerprint(%+v) must differ from the zero options", opt)
-		}
-	}
-	if optionsFingerprint(core.Options{Bootstrap: 50, Seed: 2}) == optionsFingerprint(boot) {
-		t.Error("bootstrap seed must be part of the fingerprint")
+	if computed, hits := svc.FitCacheStats(); computed != 1 || hits != 2 {
+		t.Errorf("fits computed=%d memo hits=%d, want 1 and 2", computed, hits)
 	}
 }

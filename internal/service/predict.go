@@ -27,35 +27,24 @@ func (s *Service) Predict(ctx context.Context, req PredictRequest) (*PredictResp
 		Bootstrap:    req.Bootstrap,
 		CILevel:      req.CILevel,
 		Workers:      s.cfg.Workers,
-		// The service semaphore gates fitting and bootstrap work too, so
-		// concurrent requests share one CPU budget instead of each opening
-		// a full-width pool.
-		Gate: s.sem,
+		Gate:         s.sem,
 	}
-	if err := opt.Validate(); err != nil {
-		return nil, &BadRequestError{Err: err}
-	}
-	if err := checkBootstrap(req.Bootstrap, req.CILevel); err != nil {
-		return nil, err
-	}
-	scale, err := checkScale(req.Scale)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkFinite("data scale", req.DataScale); err != nil {
+	if err := checkOptions(opt); err != nil {
 		return nil, err
 	}
 
 	resp := &PredictResponse{APIVersion: APIVersion, ScaleRecorded: true}
 	var (
-		w         sim.Workload    // nil when a replayed series names no registered workload
-		mm        *machine.Config // nil when a replayed series names no preset machine
-		measured  *counters.Series
-		measCores int
+		sc   scenario // a replayed series may leave w and mach nil
+		pred *core.Prediction
 	)
 	if len(req.Series) > 0 {
 		var err error
-		if measured, err = counters.DecodeSeries(req.Series); err != nil {
+		if sc.scale, err = checkScale(req.Scale); err != nil {
+			return nil, err
+		}
+		measured, err := counters.DecodeSeries(req.Series)
+		if err != nil {
 			return nil, &BadRequestError{Err: err}
 		}
 		// The series may come from outside the simulator (a real perf
@@ -63,73 +52,55 @@ func (s *Service) Predict(ctx context.Context, req PredictRequest) (*PredictResp
 		// are only required for comparison and frequency scaling. A series
 		// naming a parameterized spec resolves to that exact variant.
 		if lw, err := workloads.Lookup(measured.Workload); err == nil {
-			w = lw
+			sc.w = lw
 		}
 		if lm, err := machine.Lookup(measured.Machine); err == nil {
-			mm = lm
+			sc.mach = lm
 		}
 		// Re-measuring comparable behaviour needs the scale the series was
 		// collected at; an externally collected file may not record it.
 		if measured.Scale > 0 {
-			scale = measured.Scale
+			sc.scale = measured.Scale
 		} else {
 			resp.ScaleRecorded = false
 		}
-		resp.Workload = measured.Workload
-		resp.Machine = measured.Machine
-	} else {
-		var err error
-		if w, mm, err = resolve(req.Workload, req.Machine); err != nil {
+		if sc.target, err = targetMachine(req.Target, sc.mach); err != nil {
 			return nil, err
 		}
-		measCores = req.MeasCores
-		if measCores <= 0 {
-			measCores = mm.OneProcessorCores()
+		if sc.target == nil {
+			return nil, badRequest("series machine %q is not a preset; name a target machine", measured.Machine)
 		}
-		resp.Workload = w.Name()
-		resp.Machine = mm.Name
-		resp.MeasCores = measCores
-	}
-	resp.Scale = scale
-	resp.WorkloadKnown = w != nil
-	resp.MachineKnown = mm != nil
-
-	tm := mm
-	if req.Target != "" {
-		var err error
-		if tm, err = machine.Lookup(req.Target); err != nil {
-			return nil, &BadRequestError{Err: err}
-		}
-	}
-	if tm == nil {
-		return nil, badRequest("series machine %q is not a preset; name a target machine", measured.Machine)
-	}
-	resp.Target = tm.Name
-	if mm != nil {
-		opt.FreqRatio = mm.FreqGHz / tm.FreqGHz
-	}
-
-	targets := sim.CoreRange(tm.NumCores())
-	var pred *core.Prediction
-	if measured != nil {
+		sc.targets = sim.CoreRange(sc.target.NumCores())
+		opt.FreqRatio = sc.freqRatio()
 		// Replayed series have no store identity to key the planner's memo
 		// by; run the pipeline directly, sharing the service CPU gate.
-		var err error
-		if pred, err = core.PredictContext(ctx, measured, targets, opt); err != nil {
+		if pred, err = core.PredictContext(ctx, measured, sc.targets, opt); err != nil {
 			return nil, err
 		}
+		resp.Workload = measured.Workload
+		resp.Machine = measured.Machine
 		resp.Samples = len(measured.Samples)
 	} else {
+		var err error
+		if sc, err = resolveScenario(req.Workload, req.Machine, req.Target, req.MeasCores, req.Scale); err != nil {
+			return nil, err
+		}
 		// The simulate path goes through the sweep planner: the fitted
 		// model is memoized, so a repeated request — or a sweep cell over
 		// the same input — skips collection and fitting alike.
-		var err error
-		if pred, resp.CacheHit, err = s.predicted(ctx, w, mm, measCores, scale, targets, opt); err != nil {
+		if pred, resp.CacheHit, err = s.predictScenario(ctx, &sc, opt); err != nil {
 			return nil, err
 		}
+		resp.Workload = sc.w.Name()
+		resp.Machine = sc.mach.Name
+		resp.MeasCores = sc.measCores
 		resp.StoreDir = s.store.Dir()
 		resp.Samples = len(pred.MeasuredCores)
 	}
+	resp.Scale = sc.scale
+	resp.WorkloadKnown = sc.w != nil
+	resp.MachineKnown = sc.mach != nil
+	resp.Target = sc.target.Name
 	resp.CategoryFits = map[string]string{}
 	for cat, f := range pred.CategoryFits {
 		resp.CategoryFits[cat] = f.String()
@@ -149,13 +120,10 @@ func (s *Service) Predict(ctx context.Context, req PredictRequest) (*PredictResp
 	resp.TimeHi = pred.TimeHi
 
 	// Comparison measures the target machine — the expensive step ESTIMA
-	// avoids — and needs a registered workload to re-run.
-	if req.Compare && w != nil {
-		dataScale := req.DataScale
-		if dataScale <= 0 {
-			dataScale = 1
-		}
-		act, _, err := s.series(ctx, w, tm, sim.CoreRange(tm.NumCores()), scale*dataScale)
+	// avoids — and needs a registered workload to re-run, at the dataset
+	// the prediction was scaled to.
+	if req.Compare && sc.w != nil {
+		act, _, err := s.series(ctx, sc.w, sc.target, sc.targets, sc.scale*opt.Resolved().DatasetScale)
 		if err != nil {
 			return nil, err
 		}

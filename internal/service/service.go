@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"math"
 	"runtime"
 
 	"repro/internal/counters"
@@ -191,10 +190,15 @@ func (s *Service) measure(ctx context.Context, k store.SampleKey, w sim.Workload
 
 // Series is the in-process fast path behind Collect: measure (or replay
 // from the store) the contiguous 1..maxCores schedule of one workload at
-// the given effective scale, sharing the service's memoization, store and
-// simulation semaphore. The experiment harness and other library callers
-// use it to skip the JSON round trip of a CollectRequest.
+// the given scale (resolved as every request's is, see checkScale),
+// sharing the service's memoization, store and simulation semaphore. The
+// experiment harness and other library callers use it to skip the JSON
+// round trip of a CollectRequest.
 func (s *Service) Series(ctx context.Context, w sim.Workload, m *machine.Config, maxCores int, scale float64) (*counters.Series, bool, error) {
+	scale, err := checkScale(scale)
+	if err != nil {
+		return nil, false, err
+	}
 	return s.series(ctx, w, m, sim.CoreRange(maxCores), scale)
 }
 
@@ -308,24 +312,15 @@ func (s *Service) Curve(ctx context.Context, req CurveRequest) (*CurveResponse, 
 		Samples: c.Samples, Series: c.Series, Decoded: c.Decoded}, nil
 }
 
-// checkScale validates a request's dataset scale and maps the zero value
-// to the paper's full-size datasets.
+// checkScale resolves a request's dataset scale by the simulator's own
+// rule (sim.ResolveScale): the scale every sample key, seed and response
+// then carries. A non-finite scale is the caller's fault. JSON cannot
+// carry one, but in-process callers (the CLI, sweeps, explore, the
+// experiment harness) can.
 func checkScale(scale float64) (float64, error) {
-	if err := checkFinite("scale", scale); err != nil {
-		return 0, err
-	}
-	if scale <= 0 {
-		return 1, nil
+	scale, err := sim.ResolveScale(scale)
+	if err != nil {
+		return 0, &BadRequestError{Err: err}
 	}
 	return scale, nil
-}
-
-// checkFinite rejects a non-finite request number. JSON cannot carry one,
-// but in-process callers (the CLI, sweeps, explore) can, and a NaN scale
-// would otherwise simulate every sample before failing to encode them.
-func checkFinite(what string, v float64) error {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return badRequest("non-finite %s %g", what, v)
-	}
-	return nil
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/counters"
 	"repro/internal/machine"
 	"repro/internal/sim"
@@ -271,6 +272,67 @@ func TestSeriesMemoizationAndStore(t *testing.T) {
 	}
 	if !reflect.DeepEqual(first, replayed) {
 		t.Error("store replay differs from the collected series")
+	}
+}
+
+// The in-process entry points resolve their scale as every request does: a
+// non-finite scale is a bad request that never reaches the simulator, and
+// scale 0 means the full-size datasets, so it replays what scale 1
+// measured and fitted.
+func TestInProcessEntryPointsResolveScale(t *testing.T) {
+	var calls atomic.Int64
+	collect := func(w sim.Workload, m *machine.Config, cores int, scale float64) (counters.Sample, error) {
+		calls.Add(1)
+		if scale != 1 {
+			t.Errorf("simulator asked for scale %g, want 1", scale)
+			return counters.Sample{}, errors.New("unexpected scale")
+		}
+		return sim.Collect(w, m, cores, scale)
+	}
+	svc := newTestService(t, Config{CollectSample: collect})
+	w, err := workloads.Lookup("genome")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := machine.HaswellDesktop()
+	targets := sim.CoreRange(m.NumCores())
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, _, err := svc.Series(bg, w, m, 4, scale); !IsBadRequest(err) {
+			t.Errorf("Series at scale %g: err = %v, want a BadRequestError", scale, err)
+		}
+		if _, _, err := svc.Predicted(bg, w, m, 4, scale, targets, core.Options{}); !IsBadRequest(err) {
+			t.Errorf("Predicted at scale %g: err = %v, want a BadRequestError", scale, err)
+		}
+	}
+	if n := calls.Swap(0); n != 0 {
+		t.Errorf("a non-finite scale reached the simulator %d times", n)
+	}
+
+	one, _, err := svc.Series(bg, w, m, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero, _, err := svc.Series(bg, w, m, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(one, zero) || zero.Scale != 1 {
+		t.Errorf("scale 0 series (scale %g) differs from the scale 1 series", zero.Scale)
+	}
+	pone, _, err := svc.Predicted(bg, w, m, 4, 1, targets, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fits, _ := svc.FitCacheStats()
+	pzero, _, err := svc.Predicted(bg, w, m, 4, 0, targets, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := svc.FitCacheStats(); pzero != pone || after != fits {
+		t.Errorf("scale 0 prediction was fitted anew (%d fits after, %d before)", after, fits)
+	}
+	if n := calls.Load(); n != 4 {
+		t.Errorf("simulator ran %d times, want 4 (one window, then replays)", n)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // answering, and equivalent spellings share every memo.
 func TestCanonicalFormKeyStability(t *testing.T) {
 	targets := sim.CoreRange(4)
-	opt := core.Options{Workers: 1}
+	opt, _ := core.Options{Workers: 1}.Fingerprint()
 
 	equivalent := map[string][]string{
 		"memcached": {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -28,6 +29,21 @@ type Workload interface {
 	Build(b *Builder)
 }
 
+// ResolveScale is the one rule for a requested dataset scale: a non-finite
+// scale is an error, a scale of zero or below means the paper's full-size
+// datasets (1), and any other scale stands. Every measurement applies it
+// before the scale reaches a seed, a builder or a cache key, so scale 0
+// measures exactly what scale 1 does.
+func ResolveScale(scale float64) (float64, error) {
+	if math.IsNaN(scale) || math.IsInf(scale, 0) {
+		return 0, fmt.Errorf("non-finite scale %g", scale)
+	}
+	if scale <= 0 {
+		return 1, nil
+	}
+	return scale, nil
+}
+
 // collectSeed derives the deterministic seed of one run. It folds in both
 // names — the canonical spec strings of the resolved workload and machine —
 // so every parameterized variant measures as its own application rather
@@ -48,11 +64,24 @@ type collectState struct {
 	entries int
 }
 
-func (st *collectState) collect(w Workload, mach *machine.Config, cores int, scale float64) (counters.Sample, error) {
+// newRun checks one run's core count, resolves its scale and returns the
+// run's builder, seeded from the resolved scale.
+func newRun(w Workload, mach *machine.Config, cores int, scale float64) (*Builder, error) {
 	if cores < 1 || cores > mach.NumCores() {
-		return counters.Sample{}, fmt.Errorf("sim: %d cores out of range for %s (max %d)", cores, mach.Name, mach.NumCores())
+		return nil, fmt.Errorf("sim: %d cores out of range for %s (max %d)", cores, mach.Name, mach.NumCores())
 	}
-	b := NewBuilder(mach, cores, scale, collectSeed(w, mach, cores, scale))
+	scale, err := ResolveScale(scale)
+	if err != nil {
+		return nil, err
+	}
+	return NewBuilder(mach, cores, scale, collectSeed(w, mach, cores, scale)), nil
+}
+
+func (st *collectState) collect(w Workload, mach *machine.Config, cores int, scale float64) (counters.Sample, error) {
+	b, err := newRun(w, mach, cores, scale)
+	if err != nil {
+		return counters.Sample{}, err
+	}
 	st.progs = b.recycleProgs(st.progs, st.entries/cores)
 	w.Build(b)
 	st.entries = 0
@@ -72,9 +101,9 @@ func (st *collectState) collect(w Workload, mach *machine.Config, cores int, sca
 var statePool = sync.Pool{New: func() any { return new(collectState) }}
 
 // Collect executes one measurement run: the workload on the machine with
-// the given number of cores and dataset scale. It is the simulated
-// equivalent of "run the application under perf stat once" and is
-// deterministic in all its arguments.
+// the given number of cores and dataset scale (see ResolveScale). It is
+// the simulated equivalent of "run the application under perf stat once"
+// and is deterministic in all its arguments.
 func Collect(w Workload, mach *machine.Config, cores int, scale float64) (counters.Sample, error) {
 	st := statePool.Get().(*collectState)
 	s, err := st.collect(w, mach, cores, scale)
@@ -89,6 +118,10 @@ func Collect(w Workload, mach *machine.Config, cores int, scale float64) (counte
 // sample lands in its input-index slot, so the resulting Series is
 // byte-identical to a sequential collection.
 func CollectSeries(w Workload, mach *machine.Config, coreCounts []int, scale float64) (*counters.Series, error) {
+	scale, err := ResolveScale(scale)
+	if err != nil {
+		return nil, err
+	}
 	s := &counters.Series{Workload: w.Name(), Machine: mach.Name, Scale: scale}
 	n := len(coreCounts)
 	if n == 0 {
@@ -141,10 +174,10 @@ func CollectSeries(w Workload, mach *machine.Config, coreCounts []int, scale flo
 // returns the total number of operation elements — the work denominator
 // estima-bench -simbench normalizes throughput by.
 func CountOps(w Workload, mach *machine.Config, cores int, scale float64) (int64, error) {
-	if cores < 1 || cores > mach.NumCores() {
-		return 0, fmt.Errorf("sim: %d cores out of range for %s (max %d)", cores, mach.Name, mach.NumCores())
+	b, err := newRun(w, mach, cores, scale)
+	if err != nil {
+		return 0, err
 	}
-	b := NewBuilder(mach, cores, scale, collectSeed(w, mach, cores, scale))
 	w.Build(b)
 	return b.Ops(), nil
 }

@@ -370,6 +370,53 @@ func TestCollectSeriesSortedAndValidated(t *testing.T) {
 	}
 }
 
+// Scale 0 means the full-size datasets: it measures exactly what scale 1
+// does, under the same seed, and records scale 1; a non-finite scale is an
+// error on every collection entry point.
+func TestCollectResolvesScale(t *testing.T) {
+	w := wl{"scaled", func(b *Builder) {
+		n := b.ScaledInt(2000)
+		for th := 0; th < b.Threads; th++ {
+			b.Thread(th).Compute(n + b.Rand(500))
+		}
+	}}
+	m := machine.Xeon20()
+	for _, scale := range []float64{0, -1} {
+		got, err := Collect(w, m, 2, scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := mustCollect(t, w, m, 2); !reflect.DeepEqual(got, want) {
+			t.Errorf("Collect at scale %g differs from scale 1:\n got %+v\nwant %+v", scale, got, want)
+		}
+		ops, err := CountOps(w, m, 2, scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := CountOps(w, m, 2, 1); ops != want {
+			t.Errorf("CountOps at scale %g = %d, want scale 1's %d", scale, ops, want)
+		}
+		ser, err := CollectSeries(w, m, []int{1, 2}, scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ser.Scale != 1 {
+			t.Errorf("CollectSeries at scale %g records scale %g, want 1", scale, ser.Scale)
+		}
+	}
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Collect(w, m, 2, scale); err == nil {
+			t.Errorf("Collect at scale %g: want an error", scale)
+		}
+		if _, err := CollectSeries(w, m, []int{1}, scale); err == nil {
+			t.Errorf("CollectSeries at scale %g: want an error", scale)
+		}
+		if _, err := CountOps(w, m, 2, scale); err == nil {
+			t.Errorf("CountOps at scale %g: want an error", scale)
+		}
+	}
+}
+
 func TestCoreRange(t *testing.T) {
 	r := CoreRange(4)
 	if len(r) != 4 || r[0] != 1 || r[3] != 4 {

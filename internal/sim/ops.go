@@ -159,11 +159,9 @@ func (b *Builder) Ops() int64 {
 	return n
 }
 
-// NewBuilder creates a builder for a run.
+// NewBuilder creates a builder for a run at a dataset scale already
+// resolved by ResolveScale.
 func NewBuilder(mach *machine.Config, threads int, scale float64, seed uint64) *Builder {
-	if scale <= 0 {
-		scale = 1
-	}
 	return &Builder{
 		Mach:            mach,
 		Threads:         threads,

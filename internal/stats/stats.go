@@ -69,15 +69,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // RMSE returns the root mean square error between predictions and
 // observations.
 func RMSE(pred, obs []float64) (float64, error) {
@@ -219,37 +210,4 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Scale returns a new slice with every element of xs multiplied by k.
-func Scale(xs []float64, k float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = x * k
-	}
-	return out
-}
-
-// Add returns the element-wise sum of xs and ys.
-func Add(xs, ys []float64) ([]float64, error) {
-	if len(xs) != len(ys) {
-		return nil, ErrLength
-	}
-	out := make([]float64, len(xs))
-	for i := range xs {
-		out[i] = xs[i] + ys[i]
-	}
-	return out, nil
-}
-
-// Div returns the element-wise quotient xs[i]/ys[i].
-func Div(xs, ys []float64) ([]float64, error) {
-	if len(xs) != len(ys) {
-		return nil, ErrLength
-	}
-	out := make([]float64, len(xs))
-	for i := range xs {
-		out[i] = xs[i] / ys[i]
-	}
-	return out, nil
 }

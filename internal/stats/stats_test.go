@@ -44,16 +44,13 @@ func TestVarianceAndStdDev(t *testing.T) {
 	}
 }
 
-func TestMinMaxSum(t *testing.T) {
+func TestMinMax(t *testing.T) {
 	xs := []float64{3, -1, 7, 2}
 	if got := Min(xs); got != -1 {
 		t.Errorf("Min = %v", got)
 	}
 	if got := Max(xs); got != 7 {
 		t.Errorf("Max = %v", got)
-	}
-	if got := Sum(xs); got != 11 {
-		t.Errorf("Sum = %v", got)
 	}
 	if !math.IsInf(Min(nil), 1) {
 		t.Error("Min(nil) should be +Inf")
@@ -226,27 +223,6 @@ func TestAllFinite(t *testing.T) {
 	}
 	if !AllFinite(nil) {
 		t.Error("empty slice should be finite")
-	}
-}
-
-func TestScaleAddDiv(t *testing.T) {
-	xs := []float64{1, 2, 3}
-	if got := Scale(xs, 2); got[0] != 2 || got[2] != 6 {
-		t.Errorf("Scale = %v", got)
-	}
-	sum, err := Add(xs, []float64{1, 1, 1})
-	if err != nil || sum[2] != 4 {
-		t.Errorf("Add = %v, %v", sum, err)
-	}
-	q, err := Div([]float64{4, 9}, []float64{2, 3})
-	if err != nil || q[0] != 2 || q[1] != 3 {
-		t.Errorf("Div = %v, %v", q, err)
-	}
-	if _, err := Add(xs, nil); err == nil {
-		t.Error("Add length mismatch should error")
-	}
-	if _, err := Div(xs, nil); err == nil {
-		t.Error("Div length mismatch should error")
 	}
 }
 
