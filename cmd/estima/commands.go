@@ -7,14 +7,22 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/counters"
+	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/service"
+	"repro/internal/sim"
 )
 
-// newService builds the one Service every command talks to; the CLI is a
-// thin client of the same facade 'estima serve' exposes over HTTP.
-func newService(cacheDir string) (*service.Service, error) {
-	return service.New(service.Config{CacheDir: cacheDir})
+// collectSample is the sample collector of every Service the CLI builds;
+// nil means the simulator. Tests count simulations through it.
+var collectSample func(w sim.Workload, m *machine.Config, cores int, scale float64) (counters.Sample, error)
+
+// newService builds the one Service every command talks to (workers 0
+// means NumCPU); the CLI is a thin client of the same facade 'estima serve'
+// exposes over HTTP.
+func newService(cacheDir string, workers int) (*service.Service, error) {
+	return service.New(service.Config{CacheDir: cacheDir, Workers: workers, CollectSample: collectSample})
 }
 
 func cmdList(ctx context.Context, args []string) error {
@@ -23,7 +31,7 @@ func cmdList(ctx context.Context, args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	svc, err := newService("")
+	svc, err := newService("", 0)
 	if err != nil {
 		return err
 	}
@@ -77,7 +85,7 @@ func cmdCurve(ctx context.Context, args []string) error {
 	if err := sched.Validate(*coreSpec); err != nil {
 		return err
 	}
-	svc, err := newService("")
+	svc, err := newService("", 0)
 	if err != nil {
 		return err
 	}
@@ -125,7 +133,7 @@ func cmdCollect(ctx context.Context, args []string) error {
 	if err := sched.Validate(*coreSpec); err != nil {
 		return err
 	}
-	svc, err := newService(*cacheDir)
+	svc, err := newService(*cacheDir, 0)
 	if err != nil {
 		return err
 	}

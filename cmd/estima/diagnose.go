@@ -33,7 +33,7 @@ func cmdDiagnose(ctx context.Context, args []string) error {
 	if *format != "table" && *format != "json" {
 		return fmt.Errorf("-format %q: must be table or json", *format)
 	}
-	svc, err := newService(*cacheDir)
+	svc, err := newService(*cacheDir, 0)
 	if err != nil {
 		return err
 	}

@@ -38,7 +38,7 @@ func cmdExplore(ctx context.Context, args []string) error {
 	if *format != "table" && *format != "json" {
 		return fmt.Errorf("-format %q: must be table or json", *format)
 	}
-	svc, err := service.New(service.Config{CacheDir: *cacheDir, Workers: *workers})
+	svc, err := newService(*cacheDir, *workers)
 	if err != nil {
 		return err
 	}

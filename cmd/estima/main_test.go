@@ -5,7 +5,12 @@ import (
 	"io"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"repro/internal/counters"
+	"repro/internal/machine"
+	"repro/internal/sim"
 )
 
 // captureStderr runs fn with os.Stderr redirected to a buffer.
@@ -31,8 +36,15 @@ func captureStderr(t *testing.T, fn func()) string {
 
 // TestRunExitCodes pins the dispatch contract: 0 on success with a silent
 // stderr, 1 on execution errors, 2 with usage on stderr for unknown
-// subcommands and flag-parse failures alike.
+// subcommands and flag-parse failures alike. No row simulates anything: a
+// rejected request must fail before the simulator runs.
 func TestRunExitCodes(t *testing.T) {
+	var sims atomic.Int64
+	collectSample = func(w sim.Workload, m *machine.Config, cores int, scale float64) (counters.Sample, error) {
+		sims.Add(1)
+		return sim.Collect(w, m, cores, scale)
+	}
+	t.Cleanup(func() { collectSample = nil })
 	cases := []struct {
 		name       string
 		args       []string
@@ -57,6 +69,9 @@ func TestRunExitCodes(t *testing.T) {
 		{"sweep non-finite ci", []string{"sweep", "-w", "genome", "-m", "Haswell", "-scale", "0.05", "-boot", "5", "-ci", "NaN"}, 1, "-ci NaN out of range (0, 100)"},
 		{"sweep non-finite scale", []string{"sweep", "-w", "genome", "-m", "Haswell", "-scale", "NaN"}, 1, "non-finite scale NaN"},
 		{"bottleneck non-finite scale", []string{"bottleneck", "-w", "intruder", "-m", "Haswell", "-scale", "NaN"}, 1, "non-finite scale NaN"},
+		{"predict scale above limit", []string{"predict", "-w", "intruder", "-m", "Haswell", "-scale", "9"}, 1, "scale 9 above the limit of 8"},
+		{"compared predict scale above limit", []string{"predict", "-w", "intruder", "-m", "Haswell", "-scale", "0.05", "-datascale", "200"}, 1, "comparing at scale × data scale: scale 10 above the limit of 8"},
+		{"sweep scale above limit", []string{"sweep", "-w", "genome", "-m", "Haswell", "-scale", "9"}, 1, "scale 9 above the limit of 8"},
 		{"bottleneck cores beyond machine", []string{"bottleneck", "-w", "intruder", "-m", "Haswell", "-meascores", "99"}, 1, `core range "1-99" exceeds the machine's 4 cores`},
 		{"success", []string{"list"}, 0, ""},
 		{"help", []string{"help"}, 0, ""},
@@ -75,6 +90,9 @@ func TestRunExitCodes(t *testing.T) {
 			}
 			if code != c.code {
 				t.Errorf("run(%v) = %d, want %d (stderr: %q)", c.args, code, c.code, stderr)
+			}
+			if n := sims.Swap(0); n != 0 {
+				t.Errorf("run(%v) simulated %d samples, want 0", c.args, n)
 			}
 			if c.wantStderr == "" {
 				if stderr != "" {

@@ -87,13 +87,16 @@ func cmdPredict(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		mc := *measCores
-		if mc <= 0 {
-			mc = mm.OneProcessorCores()
+		if *compare {
+			// The comparison below runs after the window is simulated;
+			// reject its scale first.
+			if _, err := service.CompareScale(*scale, *dataScale); err != nil {
+				return err
+			}
 		}
-		fmt.Printf("measuring %s on %s (1..%d cores)...\n", w.Name(), mm.Name, mc)
+		fmt.Printf("measuring %s on %s (1..%d cores)...\n", w.Name(), mm.Name, mm.WindowCores(*measCores))
 	}
-	svc, err := newService(*cacheDir)
+	svc, err := newService(*cacheDir, 0)
 	if err != nil {
 		return err
 	}
@@ -109,11 +112,15 @@ func cmdPredict(ctx context.Context, args []string) error {
 	if *compare && !resp.WorkloadKnown {
 		fmt.Printf("series workload %q is not a registered workload; skipping -compare\n", resp.Workload)
 	} else if *compare {
+		cmpScale, err := service.CompareScale(resp.Scale, *dataScale)
+		if err != nil {
+			return err
+		}
 		fmt.Printf("measuring actual behaviour on %s (this is the expensive step ESTIMA avoids)...\n", resp.Target)
 		act, err := svc.Collect(ctx, service.CollectRequest{
 			Workload: resp.Workload,
 			Machine:  resp.Target,
-			Scale:    resp.Scale * *dataScale,
+			Scale:    cmpScale,
 		})
 		if err != nil {
 			return err
@@ -204,10 +211,8 @@ func cmdBottleneck(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	if *measCores <= 0 {
-		*measCores = mm.OneProcessorCores()
-	}
-	svc, err := newService("")
+	*measCores = mm.WindowCores(*measCores)
+	svc, err := newService("", 0)
 	if err != nil {
 		return err
 	}

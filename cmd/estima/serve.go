@@ -52,7 +52,7 @@ func cmdServe(ctx context.Context, args []string) error {
 	if !*coordinator && *peers != "" {
 		return usageError{fmt.Errorf("-peers only applies to -coordinator")}
 	}
-	svc, err := service.New(service.Config{CacheDir: *cacheDir, Workers: *workers})
+	svc, err := newService(*cacheDir, *workers)
 	if err != nil {
 		return err
 	}

@@ -61,7 +61,7 @@ func cmdSweep(ctx context.Context, args []string) error {
 	}
 	// -workers bounds the job pool AND the service's simulation semaphore,
 	// so it throttles total CPU exactly as it did pre-service.
-	svc, err := service.New(service.Config{CacheDir: *cacheDir, Workers: *workers})
+	svc, err := newService(*cacheDir, *workers)
 	if err != nil {
 		return err
 	}

@@ -13,7 +13,9 @@
 // worker request, and merged plan-index-order-stable, so coordinator
 // responses are byte-identical to single-process ones; the conformance
 // suite locks that. Overlapping requests from different clients coalesce in
-// in-flight groups (internal/flight) before they ever reach a worker.
+// flight groups (internal/flight) before they ever reach a worker: relays
+// while they are in flight, and sweep and explore cells in a memo that also
+// answers every repeat of a cell it has seen.
 // Workers that fail probes or requests are routed around via the ring's
 // successor order, with the coordinator's own embedded Service as the last
 // resort — degraded service is cold and slower but never wrong, because
@@ -26,6 +28,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand/v2"
@@ -84,10 +87,14 @@ type Coordinator struct {
 	client  *http.Client
 
 	// relayFlights coalesces identical relayed requests (key: path + raw
-	// body); cellFlights coalesces sweep and explore cells by fit identity
-	// (key: PlannedCell.FitKey), which also catches *overlapping* grids
-	// whose bodies differ. Both forget a flight as soon as it completes:
-	// the workers' store, sample memo and fit memo are the durable layers.
+	// body) and forgets each flight as soon as it completes: a relayed
+	// answer carries worker-local fields (store_dir, cache_hit), so the
+	// worker's store and memos are its durable layers. cellFlights is a memo
+	// of sweep and explore cells by fit identity (key: PlannedCell.FitKey),
+	// one cell per fit artifact and as many as a worker's fit memo holds, so
+	// a repeated or *overlapping* grid, whose body differs, answers every
+	// cell it has seen without a worker request. A cell that carries an
+	// Error is not retained.
 	relayFlights *flight.Group[string, relayResult]
 	cellFlights  *flight.Group[string, service.SweepCell]
 
@@ -118,7 +125,7 @@ func New(cfg Config) (*Coordinator, error) {
 		healthy:      make([]atomic.Bool, len(cfg.Workers)),
 		client:       cfg.Client,
 		relayFlights: flight.New[string, relayResult](0),
-		cellFlights:  flight.New[string, service.SweepCell](0),
+		cellFlights:  flight.New[string, service.SweepCell](service.DefaultFitCacheSize),
 	}
 	if c.client == nil {
 		c.client = &http.Client{}
@@ -396,18 +403,30 @@ func (c *Coordinator) relayHandler(path string, local http.Handler) http.Handler
 // errFleetDown marks a relay that exhausted every worker.
 var errFleetDown = fmt.Errorf("cluster: no healthy worker reachable")
 
+// errCellFailed marks a cell flight whose cell carries an Error: its
+// waiters still get the cell, but the memo does not retain it, as a
+// worker's fit memo never retains a failed fit.
+var errCellFailed = errors.New("cluster: cell failed")
+
 // runCell is the coordinator's CellRunner, shared by sweeps and explores:
-// one planned cell, coalesced by fit identity — overlapping grids, even
+// one planned cell, memoized by fit identity — overlapping grids, even
 // from different clients, asking for the same (series, options, targets)
-// artifact share one worker request. Worker failures fail over along the
-// ring and bottom out at the local service; only the caller's own
-// cancellation surfaces as an error cell (never emitted — the response
-// aborts first).
+// artifact share one worker request, and a repeat asks none. Worker
+// failures fail over along the ring and bottom out at the local service;
+// only the caller's own cancellation surfaces as an error cell (never
+// emitted — the response aborts first).
 func (c *Coordinator) runCell(ctx context.Context, pc *service.PlannedCell) service.SweepCell {
+	if cell, ok := c.cellFlights.Get(pc.FitKey); ok {
+		return cell
+	}
 	cell, err := c.cellFlights.Do(ctx, pc.FitKey, func(ctx context.Context) (service.SweepCell, error) {
-		return c.executeCell(ctx, pc.Request)
+		cell, err := c.executeCell(ctx, pc.Request)
+		if err == nil && cell.Error != "" {
+			err = errCellFailed
+		}
+		return cell, err
 	})
-	if err != nil {
+	if err != nil && !errors.Is(err, errCellFailed) {
 		return service.SweepCell{Workload: pc.Request.Workload, Machine: pc.Request.Machine,
 			MeasCores: pc.Request.MeasCores, Error: err.Error()}
 	}

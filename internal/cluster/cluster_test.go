@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -44,10 +46,7 @@ func TestWorkerKillMidSweep(t *testing.T) {
 	body := `{"workloads":["intruder","genome"],"machines":["Haswell"],"scale":0.05,"workers":1}`
 	rec := &onFirstWrite{ResponseRecorder: httptest.NewRecorder(), fn: func() {
 		// First cell emitted: the whole fleet goes down mid-sweep.
-		for _, s := range f.servers {
-			s.CloseClientConnections()
-			s.Close()
-		}
+		f.stop()
 	}}
 	f.handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sweep?stream=ndjson", strings.NewReader(body)))
 	got := rec.Body.Bytes()
@@ -141,12 +140,8 @@ func TestCoalescingSharesOneFlight(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Error("coalesced responses differ")
 	}
-	var workerRequests int64
-	for _, w := range f.workers {
-		workerRequests += w.hits.Load()
-	}
-	if workerRequests != 1 {
-		t.Errorf("fleet served %d /v1/* requests for two identical clients, want 1", workerRequests)
+	if n := f.requests(); n != 1 {
+		t.Errorf("fleet served %d /v1/* requests for two identical clients, want 1", n)
 	}
 	started2, hits := f.coord.relayFlights.Stats()
 	if started2 != 1 || hits != 1 {
@@ -246,5 +241,113 @@ func TestOverlappingSweepsShareCells(t *testing.T) {
 	cellsStarted, cellHits := f.coord.cellFlights.Stats()
 	if cellHits < 1 {
 		t.Errorf("cell flights started=%d hits=%d, want at least one shared hit", cellsStarted, cellHits)
+	}
+}
+
+// Bodies of a warm sweep and explore: a two-cell sweep, and a four-cell
+// region of which explore measures two.
+const (
+	sweepBody   = `{"workloads":["intruder","genome"],"machines":["Haswell"],"scale":0.05}`
+	exploreBody = `{"workload":"memcached?skew=1.5,skew=2.5,setpct=0,setpct=20","machine":"Haswell","scale":0.05}`
+)
+
+// cellStarted is the coordinator's /readyz count of cell flights started.
+func cellStarted(t *testing.T, f *fleet) int64 {
+	t.Helper()
+	_, b := do(t, f.handler, http.MethodGet, "/readyz", "")
+	var ready service.ReadyResponse
+	if err := json.Unmarshal(b, &ready); err != nil {
+		t.Fatal(err)
+	}
+	for _, cs := range ready.Coalesce {
+		if cs.Endpoint == "cell" {
+			return cs.Started
+		}
+	}
+	t.Fatalf("readyz coalesce %v has no cell entry", ready.Coalesce)
+	return 0
+}
+
+// post answers one POST through the coordinator, failing on a non-200.
+func post(t *testing.T, f *fleet, path, body string) []byte {
+	t.Helper()
+	status, b := do(t, f.handler, http.MethodPost, path, body)
+	if status != http.StatusOK {
+		t.Fatalf("POST %s: status %d (%s)", path, status, b)
+	}
+	return b
+}
+
+// TestRepeatSweepAndExploreAskNoWorker: the coordinator's cell memo answers
+// a repeated sweep or explore whole. The repeat sends no worker request,
+// returns the first answer's bytes, and starts no cell flight.
+func TestRepeatSweepAndExploreAskNoWorker(t *testing.T) {
+	f := newFleet(t, 2, service.Config{})
+	for _, c := range []struct{ path, body string }{{"/v1/sweep", sweepBody}, {"/v1/explore", exploreBody}} {
+		first := post(t, f, c.path, c.body)
+		requests, started := f.requests(), cellStarted(t, f)
+		if again := post(t, f, c.path, c.body); !bytes.Equal(again, first) {
+			t.Errorf("repeated %s differs from the first answer.\n--- first\n%s\n--- repeat\n%s", c.path, first, again)
+		}
+		if n := f.requests() - requests; n != 0 {
+			t.Errorf("repeated %s sent %d worker requests, want 0", c.path, n)
+		}
+		if n := cellStarted(t, f) - started; n != 0 {
+			t.Errorf("repeated %s started %d cell flights, want 0", c.path, n)
+		}
+	}
+}
+
+// TestFailedCellIsAskedAgain: a cell that comes back with an Error is not
+// retained, so a repeated sweep asks its worker again, and only for that
+// cell.
+func TestFailedCellIsAskedAgain(t *testing.T) {
+	f := newFleet(t, 2, service.Config{
+		CollectSample: func(w sim.Workload, m *machine.Config, cores int, scale float64) (counters.Sample, error) {
+			if w.Name() == "genome" {
+				return counters.Sample{}, errors.New("genome cannot be measured")
+			}
+			return sim.Collect(w, m, cores, scale)
+		},
+	})
+	first := post(t, f, "/v1/sweep", sweepBody)
+	var resp service.SweepResponse
+	if err := json.Unmarshal(first, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Failures != 1 || len(resp.Cells) != 2 || resp.Cells[1].Error == "" {
+		t.Fatalf("want the genome cell, and only it, to fail: %s", first)
+	}
+	requests, started := f.requests(), cellStarted(t, f)
+	if again := post(t, f, "/v1/sweep", sweepBody); !bytes.Equal(again, first) {
+		t.Errorf("repeated sweep differs from the first answer.\n--- first\n%s\n--- repeat\n%s", first, again)
+	}
+	if n := f.requests() - requests; n != 1 {
+		t.Errorf("repeated sweep sent %d worker requests, want 1 (the failed cell)", n)
+	}
+	if n := cellStarted(t, f) - started; n != 1 {
+		t.Errorf("repeated sweep started %d cell flights, want 1 (the failed cell)", n)
+	}
+}
+
+// TestRepeatSweepWithFleetDown: once a sweep is warm, its repeat needs
+// neither a worker nor the coordinator's own service: with every worker
+// stopped it answers the same bytes and simulates nothing.
+func TestRepeatSweepWithFleetDown(t *testing.T) {
+	var sims atomic.Int64
+	f := newFleet(t, 2, service.Config{
+		CollectSample: func(w sim.Workload, m *machine.Config, cores int, scale float64) (counters.Sample, error) {
+			sims.Add(1)
+			return sim.Collect(w, m, cores, scale)
+		},
+	})
+	first := post(t, f, "/v1/sweep", sweepBody)
+	f.stop()
+	before := sims.Load()
+	if again := post(t, f, "/v1/sweep", sweepBody); !bytes.Equal(again, first) {
+		t.Errorf("repeated sweep with the fleet down differs from the first answer.\n--- first\n%s\n--- repeat\n%s", first, again)
+	}
+	if n := sims.Load() - before; n != 0 {
+		t.Errorf("repeated sweep with the fleet down simulated %d samples, want 0", n)
 	}
 }

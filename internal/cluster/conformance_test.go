@@ -12,7 +12,10 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/counters"
+	"repro/internal/machine"
 	"repro/internal/service"
+	"repro/internal/sim"
 )
 
 // countingHandler wraps a worker handler and counts the /v1/* requests it
@@ -68,6 +71,23 @@ func newFleet(t *testing.T, n int, svcCfg service.Config) *fleet {
 	t.Cleanup(f.coord.Close)
 	f.handler = NewHandler(f.coord, service.ServerConfig{})
 	return f
+}
+
+// requests is the number of /v1/* requests the fleet's workers have served.
+func (f *fleet) requests() int64 {
+	var n int64
+	for _, w := range f.workers {
+		n += w.hits.Load()
+	}
+	return n
+}
+
+// stop takes every worker down.
+func (f *fleet) stop() {
+	for _, s := range f.servers {
+		s.CloseClientConnections()
+		s.Close()
+	}
 }
 
 // do performs one request against a handler.
@@ -135,11 +155,7 @@ func TestClusterConformance(t *testing.T) {
 	}
 	// The compute endpoints must actually have been served by the fleet,
 	// not the local fallback.
-	var served int64
-	for _, w := range f.workers {
-		served += w.hits.Load()
-	}
-	if served == 0 {
+	if f.requests() == 0 {
 		t.Error("no worker served any /v1/* request; everything fell back to the local service")
 	}
 }
@@ -228,10 +244,16 @@ func TestClusterDiagnoseGetMatchesSingleProcess(t *testing.T) {
 // TestValidationBytesMatchSingleProcess: requests the coordinator cannot
 // route (unknown names, malformed JSON, replayed series) delegate to the
 // embedded local service, so error bodies — including did-you-mean
-// suggestions — are byte-identical to a single process's.
+// suggestions — are byte-identical to a single process's. No rejected
+// request simulates anything, at either tier.
 func TestValidationBytesMatchSingleProcess(t *testing.T) {
-	f := newFleet(t, 2, service.Config{})
-	single, err := service.New(service.Config{})
+	var sims atomic.Int64
+	counting := service.Config{CollectSample: func(w sim.Workload, m *machine.Config, cores int, scale float64) (counters.Sample, error) {
+		sims.Add(1)
+		return sim.Collect(w, m, cores, scale)
+	}}
+	f := newFleet(t, 2, counting)
+	single, err := service.New(counting)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,6 +274,10 @@ func TestValidationBytesMatchSingleProcess(t *testing.T) {
 		{"diagnose bad checkpoints", "/v1/diagnose", `{"workload":"intruder","machine":"Haswell","checkpoints":-2}`, http.StatusBadRequest},
 		{"collect core listed twice", "/v1/collect", `{"workload":"intruder","machine":"Haswell","cores":"1-4,1-4"}`, http.StatusBadRequest},
 		{"curve core listed twice", "/v1/curve", `{"workload":"intruder","machine":"Haswell","cores":"1,3,2-3"}`, http.StatusBadRequest},
+		{"predict scale above limit", "/v1/predict", `{"workload":"intruder","machine":"Haswell","scale":9}`, http.StatusBadRequest},
+		{"compared predict scale above limit", "/v1/predict", `{"workload":"intruder","machine":"Haswell","scale":0.05,"data_scale":200,"compare":true}`, http.StatusBadRequest},
+		{"sweep scale above limit", "/v1/sweep", `{"workloads":["intruder"],"machines":["Haswell"],"scale":9}`, http.StatusBadRequest},
+		{"explore scale above limit", "/v1/explore", `{"workload":"memcached?skew=1.5,skew=2.5","machine":"Haswell","scale":9}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -262,6 +288,9 @@ func TestValidationBytesMatchSingleProcess(t *testing.T) {
 			}
 			if !bytes.Equal(sb, cb) {
 				t.Errorf("error bytes differ.\n--- single\n%s\n--- cluster\n%s", sb, cb)
+			}
+			if n := sims.Swap(0); n != 0 {
+				t.Errorf("a rejected request simulated %d samples", n)
 			}
 		})
 	}

@@ -3,10 +3,12 @@ package flight
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 )
 
 var bg = context.Background()
@@ -201,5 +203,34 @@ func TestRetainsLeastRecentlyUsedFirst(t *testing.T) {
 	}
 	if _, ok := z.Get("a"); ok {
 		t.Error("capacity-0 group retained a value")
+	}
+}
+
+// TestRetainedValueDropsCallerContext: a retained value keeps nothing of
+// the flight that computed it, so the context of the caller that started
+// the flight, and whatever that context carries, is collectable while the
+// value stays.
+func TestRetainedValueDropsCallerContext(t *testing.T) {
+	type ctxKey struct{}
+	g := New[string, int](1)
+	held := func() weak.Pointer[[64]byte] {
+		payload := new([64]byte)
+		ctx := context.WithValue(bg, ctxKey{}, payload)
+		if v, err := g.Do(ctx, "k", func(context.Context) (int, error) { return 1, nil }); err != nil || v != 1 {
+			t.Fatalf("Do = (%d, %v), want (1, nil)", v, err)
+		}
+		return weak.Make(payload)
+	}()
+	// The flight's goroutine may still be on its way out when Do returns,
+	// so collect a few times before giving up.
+	for i := 0; i < 100 && held.Value() != nil; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if held.Value() != nil {
+		t.Error("the retained entry keeps its first caller's context reachable")
+	}
+	if v, ok := g.Get("k"); !ok || v != 1 {
+		t.Errorf("Get(k) = %d, %v; want the retained 1", v, ok)
 	}
 }

@@ -85,6 +85,16 @@ func (c *Config) NumChips() int {
 	return c.Sockets * c.ChipsPerSocket
 }
 
+// WindowCores is the measurement window of a request that asks for cores:
+// cores itself, or one processor (OneProcessorCores) when cores is 0 or
+// below, which is how a request leaves the window to its default.
+func (c *Config) WindowCores(cores int) int {
+	if cores <= 0 {
+		return c.OneProcessorCores()
+	}
+	return cores
+}
+
 // OneProcessorCores returns the core count of a single processor (one
 // socket's worth of chips), clamped to the machine size — ESTIMA's default
 // measurement window ("measure on one processor, predict the machine").

@@ -160,6 +160,16 @@ func TestOneProcessorCores(t *testing.T) {
 	}
 }
 
+// A window of 0 cores or below is one processor; any other stands.
+func TestWindowCores(t *testing.T) {
+	m := mustLookup(t, "Opteron")
+	for requested, want := range map[int]int{0: 12, -3: 12, 1: 1, 30: 30} {
+		if got := m.WindowCores(requested); got != want {
+			t.Errorf("WindowCores(%d) = %d, want %d", requested, got, want)
+		}
+	}
+}
+
 func TestOpteronTopology(t *testing.T) {
 	m := Opteron()
 	if m.NumChips() != 8 {

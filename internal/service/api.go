@@ -333,8 +333,9 @@ type WorkerReady struct {
 }
 
 // CoalesceStat counts cross-request coalescing for one flight class:
-// Started flights actually executed, Hits answered by joining one already
-// in flight from another client.
+// Started flights actually executed, Hits answered without one, by joining
+// a flight already in progress for another client or, for a class the
+// coordinator memoizes (cells), from a retained value.
 type CoalesceStat struct {
 	Endpoint string `json:"endpoint"`
 	Started  int64  `json:"started"`

@@ -47,12 +47,13 @@ func expandGrid(entry string) ([]string, error) {
 	return out, nil
 }
 
-// DefaultFitCacheSize bounds the fitted-model memo (entries). An artifact
-// is a few fitted functions plus the evaluated curves — small next to the
-// series it came from — so the bound comfortably covers the full workload ×
-// machine preset matrix at several option sets. Evicted artifacts cost one
-// refit to restore (their measurement series stays in the store), so the
-// bound trades memory for refit work only.
+// DefaultFitCacheSize bounds the fitted-model memo (entries), and the
+// cluster coordinator's cell memo, which holds one cell per fit artifact.
+// An artifact is a few fitted functions plus the evaluated curves — small
+// next to the series it came from — so the bound comfortably covers the
+// full workload × machine preset matrix at several option sets. Evicted
+// artifacts cost one refit to restore (their measurement series stays in
+// the store), so the bound trades memory for refit work only.
 const DefaultFitCacheSize = 256
 
 // maxSweepCells bounds one sweep's workload × machine matrix. Grids make
@@ -206,13 +207,10 @@ func targetMachine(target string, m *machine.Config) (*machine.Config, error) {
 }
 
 // newScenario assembles a scenario from resolved parts, applying the
-// measurement-window rule: meas cores 0 (or below) means one processor of
-// the measurement machine.
+// measurement-window rule (machine.Config.WindowCores): meas cores 0 (or
+// below) means one processor of the measurement machine.
 func newScenario(w sim.Workload, m, tm *machine.Config, measCores int, scale float64, targets []int) scenario {
-	if measCores <= 0 {
-		measCores = m.OneProcessorCores()
-	}
-	return scenario{w: w, mach: m, target: tm, measCores: measCores, scale: scale, targets: targets}
+	return scenario{w: w, mach: m, target: tm, measCores: m.WindowCores(measCores), scale: scale, targets: targets}
 }
 
 // freqRatio is the scenario's cross-machine frequency ratio (§4.3):

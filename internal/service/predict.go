@@ -35,16 +35,16 @@ func (s *Service) Predict(ctx context.Context, req PredictRequest) (*PredictResp
 
 	resp := &PredictResponse{APIVersion: APIVersion, ScaleRecorded: true}
 	var (
-		sc   scenario // a replayed series may leave w and mach nil
-		pred *core.Prediction
+		sc       scenario // a replayed series may leave w and mach nil
+		measured *counters.Series
+		pred     *core.Prediction
+		err      error
 	)
 	if len(req.Series) > 0 {
-		var err error
 		if sc.scale, err = checkScale(req.Scale); err != nil {
 			return nil, err
 		}
-		measured, err := counters.DecodeSeries(req.Series)
-		if err != nil {
+		if measured, err = counters.DecodeSeries(req.Series); err != nil {
 			return nil, &BadRequestError{Err: err}
 		}
 		// The series may come from outside the simulator (a real perf
@@ -71,6 +71,18 @@ func (s *Service) Predict(ctx context.Context, req PredictRequest) (*PredictResp
 			return nil, badRequest("series machine %q is not a preset; name a target machine", measured.Machine)
 		}
 		sc.targets = sim.CoreRange(sc.target.NumCores())
+	} else if sc, err = resolveScenario(req.Workload, req.Machine, req.Target, req.MeasCores, req.Scale); err != nil {
+		return nil, err
+	}
+	// Comparison measures the target machine — the expensive step ESTIMA
+	// avoids — and needs a registered workload to re-run.
+	var compareScale float64
+	if req.Compare && sc.w != nil {
+		if compareScale, err = CompareScale(sc.scale, req.DataScale); err != nil {
+			return nil, err
+		}
+	}
+	if measured != nil {
 		opt.FreqRatio = sc.freqRatio()
 		// Replayed series have no store identity to key the planner's memo
 		// by; run the pipeline directly, sharing the service CPU gate.
@@ -81,10 +93,6 @@ func (s *Service) Predict(ctx context.Context, req PredictRequest) (*PredictResp
 		resp.Machine = measured.Machine
 		resp.Samples = len(measured.Samples)
 	} else {
-		var err error
-		if sc, err = resolveScenario(req.Workload, req.Machine, req.Target, req.MeasCores, req.Scale); err != nil {
-			return nil, err
-		}
 		// The simulate path goes through the sweep planner: the fitted
 		// model is memoized, so a repeated request — or a sweep cell over
 		// the same input — skips collection and fitting alike.
@@ -119,11 +127,8 @@ func (s *Service) Predict(ctx context.Context, req PredictRequest) (*PredictResp
 	resp.TimeLo = pred.TimeLo
 	resp.TimeHi = pred.TimeHi
 
-	// Comparison measures the target machine — the expensive step ESTIMA
-	// avoids — and needs a registered workload to re-run, at the dataset
-	// the prediction was scaled to.
 	if req.Compare && sc.w != nil {
-		act, _, err := s.series(ctx, sc.w, sc.target, sc.targets, sc.scale*opt.Resolved().DatasetScale)
+		act, _, err := s.series(ctx, sc.w, sc.target, sc.targets, compareScale)
 		if err != nil {
 			return nil, err
 		}
@@ -135,6 +140,23 @@ func (s *Service) Predict(ctx context.Context, req PredictRequest) (*PredictResp
 		}
 	}
 	return resp, nil
+}
+
+// CompareScale is the dataset scale a compared prediction measures its
+// target at: the run's scale times the weak-scaling data scale (0 means 1),
+// bounded like any scale. A prediction checks it before anything is
+// simulated; one without comparison simulates nothing on the target, so it
+// takes any finite data scale.
+func CompareScale(scale, dataScale float64) (float64, error) {
+	scale, err := checkScale(scale)
+	if err != nil {
+		return 0, err
+	}
+	product, err := checkScale(scale * core.Options{DatasetScale: dataScale}.Resolved().DatasetScale)
+	if err != nil {
+		return 0, badRequest("comparing at scale × data scale: %v", err)
+	}
+	return product, nil
 }
 
 // Sweep answers a SweepRequest: the workload × machine matrix, decomposed

@@ -48,7 +48,11 @@ func TestNewRejectsUnusableCacheDir(t *testing.T) {
 }
 
 func TestRequestValidation(t *testing.T) {
-	svc := newTestService(t, Config{})
+	var sims atomic.Int64
+	svc := newTestService(t, Config{CollectSample: func(w sim.Workload, m *machine.Config, cores int, scale float64) (counters.Sample, error) {
+		sims.Add(1)
+		return sim.Collect(w, m, cores, scale)
+	}})
 	cases := []struct {
 		name string
 		call func() error
@@ -172,6 +176,42 @@ func TestRequestValidation(t *testing.T) {
 			_, err := svc.Explore(bg, req)
 			return err
 		}, "non-finite scale NaN"},
+		// A scale above sim.MaxScale is rejected the same way, and so is a
+		// compared predict whose target scale (scale × data scale) is.
+		{"predict scale above limit", func() error {
+			_, err := svc.Predict(bg, PredictRequest{Workload: "intruder", Machine: "Haswell", Scale: 9})
+			return err
+		}, "scale 9 above the limit of 8"},
+		{"compared predict data scale above limit", func() error {
+			_, err := svc.Predict(bg, PredictRequest{Workload: "intruder", Machine: "Haswell", Scale: 0.05, DataScale: 200, Compare: true})
+			return err
+		}, "comparing at scale × data scale: scale 10 above the limit of 8"},
+		{"collect scale above limit", func() error {
+			_, err := svc.Collect(bg, CollectRequest{Workload: "intruder", Machine: "Haswell", Cores: "1-4", Scale: 9})
+			return err
+		}, "scale 9 above the limit of 8"},
+		{"curve scale above limit", func() error {
+			_, err := svc.Curve(bg, CurveRequest{Workload: "intruder", Machine: "Haswell", Cores: "1-4", Scale: 9})
+			return err
+		}, "scale 9 above the limit of 8"},
+		{"sweep scale above limit", func() error {
+			_, err := svc.Sweep(bg, SweepRequest{Workloads: []string{"genome"}, Machines: []string{"Haswell"}, Scale: 9})
+			return err
+		}, "scale 9 above the limit of 8"},
+		{"cell scale above limit", func() error {
+			_, err := svc.Cell(bg, CellRequest{Workload: "genome", Machine: "Haswell", Scale: 9})
+			return err
+		}, "scale 9 above the limit of 8"},
+		{"diagnose scale above limit", func() error {
+			_, err := svc.Diagnose(bg, DiagnoseRequest{Workload: "intruder", Machine: "Haswell", Scale: 9})
+			return err
+		}, "scale 9 above the limit of 8"},
+		{"explore scale above limit", func() error {
+			req := exploreTestRequest()
+			req.Scale = 9
+			_, err := svc.Explore(bg, req)
+			return err
+		}, "scale 9 above the limit of 8"},
 		{"explore band NaN", func() error {
 			req := exploreTestRequest()
 			req.TargetBandPct = math.NaN()
@@ -197,7 +237,20 @@ func TestRequestValidation(t *testing.T) {
 			if !strings.Contains(err.Error(), c.want) {
 				t.Errorf("error %q does not contain %q", err, c.want)
 			}
+			if n := sims.Swap(0); n != 0 {
+				t.Errorf("a rejected request simulated %d samples", n)
+			}
 		})
+	}
+}
+
+// TestUncomparedPredictTakesAnyDataScale: the data scale bounds only the
+// comparison's measurement, so a predict without one accepts a data scale
+// whose product with the scale is above the limit.
+func TestUncomparedPredictTakesAnyDataScale(t *testing.T) {
+	svc := newTestService(t, Config{})
+	if _, err := svc.Predict(bg, PredictRequest{Workload: "intruder", Machine: "Haswell", Scale: 0.05, DataScale: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -296,7 +349,7 @@ func TestInProcessEntryPointsResolveScale(t *testing.T) {
 	}
 	m := machine.HaswellDesktop()
 	targets := sim.CoreRange(m.NumCores())
-	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 2 * sim.MaxScale} {
 		if _, _, err := svc.Series(bg, w, m, 4, scale); !IsBadRequest(err) {
 			t.Errorf("Series at scale %g: err = %v, want a BadRequestError", scale, err)
 		}
@@ -305,7 +358,7 @@ func TestInProcessEntryPointsResolveScale(t *testing.T) {
 		}
 	}
 	if n := calls.Swap(0); n != 0 {
-		t.Errorf("a non-finite scale reached the simulator %d times", n)
+		t.Errorf("a rejected scale reached the simulator %d times", n)
 	}
 
 	one, _, err := svc.Series(bg, w, m, 4, 1)

@@ -29,14 +29,24 @@ type Workload interface {
 	Build(b *Builder)
 }
 
+// MaxScale bounds the dataset scale of one run. A run's program grows
+// linearly with its scale (lock-based SL, the largest, counts 1.76 M ops
+// on one Opteron core at scale 1), so an unbounded scale lets one request
+// ask a single simulation for gigabytes. The bound is 4× the largest scale
+// the paper's experiments use (fig9's 2× dataset at scale 1).
+const MaxScale = 8
+
 // ResolveScale is the one rule for a requested dataset scale: a non-finite
-// scale is an error, a scale of zero or below means the paper's full-size
-// datasets (1), and any other scale stands. Every measurement applies it
-// before the scale reaches a seed, a builder or a cache key, so scale 0
-// measures exactly what scale 1 does.
+// scale or one above MaxScale is an error, a scale of zero or below means
+// the paper's full-size datasets (1), and any other scale stands. Every
+// measurement applies it before the scale reaches a seed, a builder or a
+// cache key, so scale 0 measures exactly what scale 1 does.
 func ResolveScale(scale float64) (float64, error) {
 	if math.IsNaN(scale) || math.IsInf(scale, 0) {
 		return 0, fmt.Errorf("non-finite scale %g", scale)
+	}
+	if scale > MaxScale {
+		return 0, fmt.Errorf("scale %g above the limit of %d", scale, MaxScale)
 	}
 	if scale <= 0 {
 		return 1, nil

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -371,10 +372,13 @@ func TestCollectSeriesSortedAndValidated(t *testing.T) {
 }
 
 // Scale 0 means the full-size datasets: it measures exactly what scale 1
-// does, under the same seed, and records scale 1; a non-finite scale is an
-// error on every collection entry point.
+// does, under the same seed, and records scale 1; a non-finite scale, or
+// one above MaxScale, is an error on every collection entry point before
+// any program is built.
 func TestCollectResolvesScale(t *testing.T) {
+	var builds atomic.Int64 // CollectSeries builds concurrently
 	w := wl{"scaled", func(b *Builder) {
+		builds.Add(1)
 		n := b.ScaledInt(2000)
 		for th := 0; th < b.Threads; th++ {
 			b.Thread(th).Compute(n + b.Rand(500))
@@ -404,7 +408,8 @@ func TestCollectResolvesScale(t *testing.T) {
 			t.Errorf("CollectSeries at scale %g records scale %g, want 1", scale, ser.Scale)
 		}
 	}
-	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+	builds.Store(0)
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), MaxScale + 1} {
 		if _, err := Collect(w, m, 2, scale); err == nil {
 			t.Errorf("Collect at scale %g: want an error", scale)
 		}
@@ -414,6 +419,12 @@ func TestCollectResolvesScale(t *testing.T) {
 		if _, err := CountOps(w, m, 2, scale); err == nil {
 			t.Errorf("CountOps at scale %g: want an error", scale)
 		}
+		if n := builds.Load(); n != 0 {
+			t.Errorf("a rejected scale %g built %d programs", scale, n)
+		}
+	}
+	if _, err := CountOps(w, m, 2, MaxScale); err != nil {
+		t.Errorf("CountOps at scale %d: %v, want the limit itself accepted", MaxScale, err)
 	}
 }
 
