@@ -73,9 +73,10 @@ type Config struct {
 	// probing (workers are then marked unhealthy only passively, by failed
 	// requests, and never revived — fine for tests, wrong for serving).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe or readiness fetch; 0 means 2s.
-	ProbeTimeout time.Duration
 }
+
+// probeTimeout bounds one health probe or worker readiness fetch.
+const probeTimeout = 2 * time.Second
 
 // Coordinator routes requests over the worker fleet. Build with New, serve
 // with NewHandler, stop with Close.
@@ -115,9 +116,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.RetryBase <= 0 {
 		cfg.RetryBase = 50 * time.Millisecond
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 2 * time.Second
 	}
 	c := &Coordinator{
 		cfg:          cfg,
@@ -176,7 +174,7 @@ func (c *Coordinator) probeLoop(ctx context.Context, i int) {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			pctx, cancel := context.WithTimeout(ctx, c.cfg.ProbeTimeout)
+			pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 			c.healthy[i].Store(c.probeOnce(pctx, i))
 			cancel()
 		}

@@ -36,7 +36,7 @@ func (c *Coordinator) ready(ctx context.Context, resp *service.ReadyResponse) {
 			Healthy: c.healthy[i].Load(),
 			Share:   shares[i],
 		}
-		fctx, cancel := context.WithTimeout(ctx, c.cfg.ProbeTimeout)
+		fctx, cancel := context.WithTimeout(ctx, probeTimeout)
 		defer cancel()
 		if ready, err := c.fetchReady(fctx, c.workers[i]); err != nil {
 			wr.Error = err.Error()

@@ -42,9 +42,6 @@ type Options struct {
 	// the plugin path of §4.1/§5.3; hardware-only is the default exactly
 	// as in the paper.
 	UseSoftware bool
-	// IncludeFrontend adds frontend stall events (the §5.2 ablation; off
-	// in the real tool).
-	IncludeFrontend bool
 	// Kernels overrides the extrapolation function library (ablations).
 	Kernels []*fit.Kernel
 	// FreqRatio is measurement-machine frequency divided by target-machine
@@ -138,8 +135,8 @@ func (o Options) Fingerprint() (fp string, ok bool) {
 	if o.Bootstrap > 0 {
 		ci, seed = o.CILevel, o.Seed
 	}
-	return fmt.Sprintf("soft=%t,fe=%t,chk=%d,freq=%g,ds=%g,boot=%d,ci=%g,seed=%d",
-		o.UseSoftware, o.IncludeFrontend, o.Checkpoints, o.FreqRatio, o.DatasetScale,
+	return fmt.Sprintf("soft=%t,chk=%d,freq=%g,ds=%g,boot=%d,ci=%g,seed=%d",
+		o.UseSoftware, o.Checkpoints, o.FreqRatio, o.DatasetScale,
 		o.Bootstrap, ci, seed), true
 }
 

@@ -5,10 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/counters"
 	"repro/internal/fit"
+	"repro/internal/pool"
 )
 
 // Pipeline is the staged form of the §3 prediction pipeline. Each stage is
@@ -39,60 +39,28 @@ func NewPipeline(opt Options) *Pipeline {
 	return &Pipeline{opt: opt.Resolved(), err: opt.Validate()}
 }
 
-// workers bounds the stage fan-out: Options.Workers, never more than the
-// number of independent work items.
-func (pl *Pipeline) workers(items int) int {
-	w := pl.opt.Workers
-	if w > items {
-		w = items
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// runIndexed fans fn(i) for i in [0, n) across the pipeline's worker pool
-// and waits for all of them. fn writes results by index, so completion
-// order never affects the outcome. Cancelling ctx stops dispatching new
-// items, drains the workers, and returns ctx.Err(); items already handed to
-// a worker finish (each is one fit, bounded work), so the pool never leaks
-// goroutines.
+// runIndexed calls fn(i) for i in [0, n) from at most Options.Workers
+// goroutines and waits for all of them. fn writes results by index, so
+// completion order never affects the outcome. Each call holds one slot of
+// the shared Gate, when set. Once ctx is done, items not yet started are
+// skipped and runIndexed returns ctx.Err(); items already running finish
+// (each is one fit, bounded work).
 func (pl *Pipeline) runIndexed(ctx context.Context, n int, fn func(i int)) error {
-	next := make(chan int)
 	gate := pl.opt.Gate
-	var wg sync.WaitGroup
-	for w := 0; w < pl.workers(n); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if ctx.Err() != nil {
-					continue // drain without doing the work
-				}
-				if gate != nil {
-					select {
-					case gate <- struct{}{}:
-					case <-ctx.Done():
-						continue
-					}
-				}
-				fn(i)
-				if gate != nil {
-					<-gate
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			i = n // stop dispatching
+	pool.ForN(n, pl.opt.Workers, func(i int) {
+		if ctx.Err() != nil {
+			return
 		}
-	}
-	close(next)
-	wg.Wait()
+		if gate != nil {
+			select {
+			case gate <- struct{}{}:
+			case <-ctx.Done():
+				return
+			}
+			defer func() { <-gate }()
+		}
+		fn(i)
+	})
 	return ctx.Err()
 }
 
@@ -147,17 +115,6 @@ func categories(series *counters.Series, opt Options) []category {
 	var cats []category
 	for _, code := range series.EventCodes() {
 		cats = append(cats, category{code, series.Event(code)})
-	}
-	if opt.IncludeFrontend {
-		seen := map[string]bool{}
-		for i := range series.Samples {
-			for code := range series.Samples[i].Frontend {
-				if !seen[code] {
-					seen[code] = true
-					cats = append(cats, category{code, series.FrontendEvent(code)})
-				}
-			}
-		}
 	}
 	if opt.UseSoftware {
 		for _, name := range series.SoftNames() {
@@ -307,7 +264,7 @@ func (pl *Pipeline) SelectFactor(series *counters.Series, targets, stallsPerCore
 func measuredFactor(series *counters.Series, opt Options) ([]float64, error) {
 	xs := series.Cores()
 	times := series.Times()
-	measuredSPC := series.StallsPerCore(opt.UseSoftware, opt.IncludeFrontend)
+	measuredSPC := series.StallsPerCore(opt.UseSoftware, false)
 	factor := make([]float64, len(xs))
 	for i := range xs {
 		if measuredSPC[i] <= 0 {

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -338,7 +340,6 @@ func TestOptionsFingerprintNormalizesDefaults(t *testing.T) {
 	}
 	diff := []Options{
 		{UseSoftware: true},
-		{IncludeFrontend: true},
 		{Checkpoints: 4},
 		{FreqRatio: 2},
 		{DatasetScale: 2},
@@ -354,6 +355,66 @@ func TestOptionsFingerprintNormalizesDefaults(t *testing.T) {
 	}
 	if _, ok := (Options{Kernels: []*fit.Kernel{fit.Linear}}).Fingerprint(); ok {
 		t.Error("a custom kernel library must have no canonical fingerprint")
+	}
+}
+
+// Pipelines sharing a Gate share its slots: two pipelines of 4 workers
+// each over one 2-slot gate never run more than 2 calls at once, and each
+// runs every index exactly once. A cancelled context runs nothing.
+func TestRunIndexedSharesGateAndSkipsOnCancel(t *testing.T) {
+	const n = 50
+	gate := make(chan struct{}, 2)
+	var mu sync.Mutex
+	cur, peak := 0, 0
+	// The first two calls wait for each other, so both gate slots are
+	// provably held at once without timing assumptions.
+	var arrived atomic.Int32
+	both := make(chan struct{})
+	var hits [2][n]atomic.Int32
+	var wg sync.WaitGroup
+	for p := 0; p < 2; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pl := NewPipeline(Options{Workers: 4, Gate: gate})
+			err := pl.runIndexed(context.Background(), n, func(i int) {
+				mu.Lock()
+				cur++
+				peak = max(peak, cur)
+				mu.Unlock()
+				if arrived.Add(1) == 2 {
+					close(both)
+				}
+				<-both
+				hits[p][i].Add(1)
+				mu.Lock()
+				cur--
+				mu.Unlock()
+			})
+			if err != nil {
+				t.Errorf("runIndexed = %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+	if peak != 2 {
+		t.Errorf("peak concurrent calls = %d, want the gate's 2", peak)
+	}
+	for p := range hits {
+		for i := range hits[p] {
+			if got := hits[p][i].Load(); got != 1 {
+				t.Errorf("pipeline %d ran index %d %d times, want 1", p, i, got)
+			}
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	err := NewPipeline(Options{Workers: 4, Gate: gate}).runIndexed(ctx, n, func(i int) {
+		t.Errorf("index %d ran under a cancelled context", i)
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("runIndexed under a cancelled context = %v, want context.Canceled", err)
 	}
 }
 

@@ -231,15 +231,6 @@ func (s *Series) Event(code string) []float64 {
 	return out
 }
 
-// FrontendEvent returns the per-core-count values of one frontend event.
-func (s *Series) FrontendEvent(code string) []float64 {
-	out := make([]float64, len(s.Samples))
-	for i := range s.Samples {
-		out[i] = s.Samples[i].Frontend[code]
-	}
-	return out
-}
-
 // SoftCategory returns the per-core-count values of one software category.
 func (s *Series) SoftCategory(name string) []float64 {
 	out := make([]float64, len(s.Samples))

@@ -108,9 +108,6 @@ func TestSeriesSortAndAccessors(t *testing.T) {
 	if got := s.SoftCategory(SoftTxAborted); got[0] != 1 || got[1] != 2 {
 		t.Errorf("Soft = %v", got)
 	}
-	if got := s.FrontendEvent("FE01h"); got[0] != 1 || got[1] != 2 {
-		t.Errorf("Frontend = %v", got)
-	}
 	codes := s.EventCodes()
 	if len(codes) != 2 || codes[0] != "e1" || codes[1] != "e2" {
 		t.Errorf("EventCodes = %v", codes)

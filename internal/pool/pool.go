@@ -1,9 +1,12 @@
-// Package pool provides the repository's one bounded fan-out idiom: a
-// fixed set of worker goroutines draining an index channel. Experiment
-// drivers fan out per-row work through ForN instead of spawning one
+// Package pool provides the module's one worker pool: a fixed set of worker
+// goroutines draining an index channel. Every fan-out in the module — sample
+// collection, per-category fits, bootstrap replicates, sweep and explore
+// cells, experiment rows — runs through ForN instead of spawning one
 // goroutine per item, which keeps peak goroutine count (and therefore peak
-// memory and scheduler pressure) independent of table size — and keeps the
-// boundedspawn analyzer's invariant checkable in one place.
+// memory and scheduler pressure) independent of input size, and keeps the
+// boundedspawn analyzer's invariant checkable in one place. ForN takes no
+// context and no semaphore: a caller that must stop early or share a CPU
+// budget checks its context and acquires its semaphore inside fn.
 package pool
 
 import (
@@ -22,17 +25,6 @@ import (
 //
 //estima:allow ctxflow synchronous helper; all workers are joined before return
 func ForN(n, workers int, fn func(i int)) {
-	ForNWorker(n, workers, func(_, i int) { fn(i) })
-}
-
-// ForNWorker is ForN with the worker's own index passed alongside the item
-// index: fn(w, i) is called with 0 <= w < effective workers, and at most one
-// goroutine ever observes a given w. Callers use the worker index to keep
-// per-worker scratch state (a reusable simulator engine, a batch buffer)
-// without any synchronization.
-//
-//estima:allow ctxflow synchronous helper; all workers are joined before return
-func ForNWorker(n, workers int, fn func(worker, i int)) {
 	if n <= 0 {
 		return
 	}
@@ -46,12 +38,12 @@ func ForNWorker(n, workers int, fn func(worker, i int)) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
 			for i := range idx {
-				fn(worker, i)
+				fn(i)
 			}
-		}(w)
+		}()
 	}
 	for i := 0; i < n; i++ {
 		idx <- i

@@ -18,10 +18,10 @@ import (
 	"context"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/store"
@@ -329,60 +329,15 @@ func (s *Service) PlanSweep(req SweepRequest) (*PlannedSweep, error) {
 	if len(wlSpecs) == 0 {
 		wlSpecs = workloads.Table4Names()
 	}
-	var wls []string
-	var ws []sim.Workload
-	for _, entry := range wlSpecs {
-		insts, err := expandGrid(entry)
-		if err != nil {
-			return nil, err
-		}
-		// One entry is one scenario set: instances that canonicalize
-		// identically (`skew=2,skew=2.0`) collapse to one cell. Distinct
-		// list entries stay distinct, as they always have.
-		seen := map[string]bool{}
-		for _, n := range insts {
-			w, err := workloads.Lookup(n)
-			if err != nil {
-				return nil, &BadRequestError{Err: err}
-			}
-			if seen[w.Name()] {
-				continue
-			}
-			seen[w.Name()] = true
-			ws = append(ws, w)
-			wls = append(wls, w.Name())
-			// More workloads than the total cell cap can never form a
-			// valid matrix (there is at least one machine); stop expanding
-			// before a long entry list amasses unbounded instances.
-			if len(wls) > maxSweepCells {
-				return nil, badRequest("sweep expands to more than %d workloads", maxSweepCells)
-			}
-		}
+	ws, err := expandAxis(wlSpecs, workloads.Lookup, sim.Workload.Name, "workloads")
+	if err != nil {
+		return nil, err
 	}
-	machs := machine.Presets()
-	if len(req.Machines) > 0 {
-		machs = nil
-		for _, entry := range req.Machines {
-			insts, err := expandGrid(entry)
-			if err != nil {
-				return nil, err
-			}
-			seen := map[string]bool{}
-			for _, n := range insts {
-				m, err := machine.Lookup(n)
-				if err != nil {
-					return nil, &BadRequestError{Err: err}
-				}
-				if seen[m.Name] {
-					continue
-				}
-				seen[m.Name] = true
-				machs = append(machs, m)
-				if len(machs) > maxSweepCells {
-					return nil, badRequest("sweep expands to more than %d machines", maxSweepCells)
-				}
-			}
-		}
+	var machs []*machine.Config
+	if len(req.Machines) == 0 {
+		machs = machine.Presets()
+	} else if machs, err = expandAxis(req.Machines, machine.Lookup, func(m *machine.Config) string { return m.Name }, "machines"); err != nil {
+		return nil, err
 	}
 	scale, err := checkScale(req.Scale)
 	if err != nil {
@@ -396,45 +351,76 @@ func (s *Service) PlanSweep(req SweepRequest) (*PlannedSweep, error) {
 	// cells. The ceiling is generous for real studies (the paper's full
 	// matrix is 23×4) while keeping a hostile sweep from ballooning server
 	// memory during planning.
-	if len(wls)*len(machs) > maxSweepCells {
+	n := len(ws) * len(machs)
+	if n > maxSweepCells {
 		return nil, badRequest("sweep expands to %d cells (%d workloads x %d machines), more than the %d-cell limit",
-			len(wls)*len(machs), len(wls), len(machs), maxSweepCells)
+			n, len(ws), len(machs), maxSweepCells)
 	}
 
-	plan := &PlannedSweep{Workloads: wls}
+	plan := &PlannedSweep{Workloads: make([]string, len(ws)), Machines: make([]string, len(machs)), Cells: make([]PlannedCell, 0, n)}
 	// One targets slice per machine, shared by that machine's whole column.
 	machTargets := make([][]int, len(machs))
 	for mi, m := range machs {
-		plan.Machines = append(plan.Machines, m.Name)
+		plan.Machines[mi] = m.Name
 		machTargets[mi] = sim.CoreRange(m.NumCores())
 	}
 	fingerprint, _ := cellOpt.Fingerprint()
-	seriesSeen := map[store.Key]bool{}
-	fitSeen := map[string]bool{}
-	for wi, wl := range wls {
+	seriesSeen := make(map[store.Key]struct{}, n)
+	fitSeen := make(map[string]struct{}, n)
+	for wi, w := range ws {
+		plan.Workloads[wi] = w.Name()
 		for mi, m := range machs {
-			cell := planCell(newScenario(ws[wi], m, m, req.MeasCores, scale, machTargets[mi]), opts)
-			sk := seriesKey(wl, m.Name, cell.Request.MeasCores, scale)
+			cell := planCell(newScenario(w, m, m, req.MeasCores, scale, machTargets[mi]), opts)
+			sk := seriesKey(plan.Workloads[wi], m.Name, cell.Request.MeasCores, scale)
 			cell.FitKey = artifactKey(sk, cell.sc.targets, fingerprint)
-			if !seriesSeen[sk] {
-				seriesSeen[sk] = true
-				plan.DistinctSeries++
-			}
-			if !fitSeen[cell.FitKey] {
-				fitSeen[cell.FitKey] = true
-				plan.DistinctFits++
-			}
+			seriesSeen[sk] = struct{}{}
+			fitSeen[cell.FitKey] = struct{}{}
 			plan.Cells = append(plan.Cells, cell)
 		}
 	}
+	plan.DistinctSeries, plan.DistinctFits = len(seriesSeen), len(fitSeen)
 	plan.Workers = req.Workers
 	if plan.Workers <= 0 {
 		plan.Workers = s.cfg.Workers
 	}
-	if plan.Workers > len(plan.Cells) {
-		plan.Workers = len(plan.Cells)
-	}
 	return plan, nil
+}
+
+// expandAxis resolves the entries of one sweep axis: each entry expands as
+// a value grid (see expandGrid) and each instance resolves through lookup,
+// in entry order. noun names the axis in the error for an axis longer than
+// maxSweepCells.
+func expandAxis[T any](entries []string, lookup func(string) (T, error), name func(T) string, noun string) ([]T, error) {
+	var vals []T
+	for _, entry := range entries {
+		insts, err := expandGrid(entry)
+		if err != nil {
+			return nil, err
+		}
+		// One entry is one scenario set: instances that canonicalize
+		// identically (`skew=2,skew=2.0`) collapse to one cell. Distinct
+		// list entries stay distinct, as they always have.
+		seen := make(map[string]bool, len(insts))
+		for _, inst := range insts {
+			v, err := lookup(inst)
+			if err != nil {
+				return nil, &BadRequestError{Err: err}
+			}
+			if seen[name(v)] {
+				continue
+			}
+			seen[name(v)] = true
+			vals = append(vals, v)
+			// More instances than the total cell cap can never form a
+			// valid matrix (the other axis has at least one entry); stop
+			// expanding before a long entry list amasses unbounded
+			// instances.
+			if len(vals) > maxSweepCells {
+				return nil, badRequest("sweep expands to more than %d %s", maxSweepCells, noun)
+			}
+		}
+	}
+	return vals, nil
 }
 
 // RouteKey is the shard identity of a scenario: the canonical workload and
@@ -522,31 +508,21 @@ func (s *Service) sweepStream(ctx context.Context, req SweepRequest, run CellRun
 		done[i] = make(chan struct{})
 	}
 
-	// cctx stops the dispatcher and drains the workers when the emitter
-	// gives up (client gone) or the sweep context dies.
+	// cctx skips the cells not yet started when the emitter gives up
+	// (client gone) or the sweep context dies; ran closes once every
+	// started cell has returned.
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for i := 0; i < plan.Workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range next {
-				cells[idx] = run(cctx, &plan.Cells[idx])
-				close(done[idx])
-			}
-		}()
-	}
+	ran := make(chan struct{})
 	go func() {
-		defer close(next)
-		for idx := range plan.Cells {
-			select {
-			case next <- idx:
-			case <-cctx.Done():
+		defer close(ran)
+		pool.ForN(n, plan.Workers, func(i int) {
+			if cctx.Err() != nil {
 				return
 			}
-		}
+			cells[i] = run(cctx, &plan.Cells[i])
+			close(done[i])
+		})
 	}()
 
 	var emitErr error
@@ -559,7 +535,7 @@ func (s *Service) sweepStream(ctx context.Context, req SweepRequest, run CellRun
 		}
 	}
 	cancel()
-	wg.Wait()
+	<-ran
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

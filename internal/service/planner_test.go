@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -340,6 +341,35 @@ func TestSweepStreamEmitErrorAborts(t *testing.T) {
 	}
 	if calls != 1 {
 		t.Errorf("emit ran %d times after failing, want 1", calls)
+	}
+}
+
+// TestSweepStreamWaitsForStartedCells: a sweep the emitter aborts returns
+// only after every cell runner it started has returned, so no runner
+// outlives the request.
+func TestSweepStreamWaitsForStartedCells(t *testing.T) {
+	svc := newTestService(t, Config{})
+	req := SweepRequest{
+		Workloads: []string{"intruder", "genome", "kmeans", "ssca2"},
+		Machines:  []string{"Haswell"},
+		Scale:     0.05,
+		Workers:   3,
+	}
+	var running atomic.Int32
+	run := func(ctx context.Context, c *PlannedCell) SweepCell {
+		running.Add(1)
+		defer running.Add(-1)
+		if c.Request.Workload != req.Workloads[0] {
+			<-ctx.Done()
+		}
+		return SweepCell{Workload: c.Request.Workload}
+	}
+	emitErr := errors.New("client gone")
+	if _, err := svc.sweepStream(bg, req, run, func(SweepCell) error { return emitErr }); err != emitErr {
+		t.Errorf("sweepStream error = %v, want the emit error", err)
+	}
+	if n := running.Load(); n != 0 {
+		t.Errorf("%d cell runners still running after sweepStream returned", n)
 	}
 }
 

@@ -3,8 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sort"
 	"sync"
 
 	"repro/internal/counters"
@@ -62,13 +60,14 @@ func collectSeed(w Workload, mach *machine.Config, cores int, scale float64) uin
 	return hashString(w.Name()) ^ hashString(mach.Name) ^ (uint64(cores) * 0x9e3779b97f4a7c15) ^ uint64(scale*1000)
 }
 
-// collectState is the reusable per-worker state of a series collection: one
-// engine plus the program buffers of the previous run. Reusing it makes
-// every run after a worker's first allocation-free in the simulation loop.
+// collectState is the reusable state of one collection run: an engine plus
+// the program buffers of the state's previous run. A run takes a state from
+// statePool and returns it when done, so every run that finds a used state
+// there simulates without allocating in the loop.
 type collectState struct {
 	eng   Engine
 	progs []Program
-	// entries is the total op count of the worker's previous run; the next
+	// entries is the total op count of the state's previous run; the next
 	// run presizes its per-thread buffers from it (total work is roughly
 	// constant across core counts, only the split changes).
 	entries int
@@ -104,16 +103,17 @@ func (st *collectState) collect(w Workload, mach *machine.Config, cores int, sca
 }
 
 // statePool recycles collection state — engines with their cache arrays and
-// directory pages, and program buffers — across Collect/CollectSeries calls.
-// An engine is fully re-initialized by reset, so reuse cannot leak state
-// between runs; it only spares the multi-megabyte LLC tag arrays from being
-// reallocated for every series.
+// directory pages, and program buffers — from one run to the next, whichever
+// goroutine runs it. An engine is fully re-initialized by reset, so reuse
+// cannot leak state between runs; it only spares the multi-megabyte LLC tag
+// arrays from being reallocated for every run.
 var statePool = sync.Pool{New: func() any { return new(collectState) }}
 
 // Collect executes one measurement run: the workload on the machine with
 // the given number of cores and dataset scale (see ResolveScale). It is
 // the simulated equivalent of "run the application under perf stat once"
-// and is deterministic in all its arguments.
+// and is deterministic in all its arguments. Every simulated sample,
+// CollectSeries' included, comes from Collect.
 func Collect(w Workload, mach *machine.Config, cores int, scale float64) (counters.Sample, error) {
 	st := statePool.Get().(*collectState)
 	s, err := st.collect(w, mach, cores, scale)
@@ -123,59 +123,25 @@ func Collect(w Workload, mach *machine.Config, cores int, scale float64) (counte
 
 // CollectSeries measures the workload at every core count in coreCounts,
 // returning the Series the extrapolation pipeline consumes. The runs are
-// independent simulations, so they execute concurrently over a bounded
-// worker pool; each worker reuses one engine across its runs and every
-// sample lands in its input-index slot, so the resulting Series is
-// byte-identical to a sequential collection.
+// independent Collect calls fanned out through pool.ForN; every sample lands
+// in its input-index slot, so the resulting Series is byte-identical to a
+// sequential collection.
 func CollectSeries(w Workload, mach *machine.Config, coreCounts []int, scale float64) (*counters.Series, error) {
 	scale, err := ResolveScale(scale)
 	if err != nil {
 		return nil, err
 	}
-	s := &counters.Series{Workload: w.Name(), Machine: mach.Name, Scale: scale}
-	n := len(coreCounts)
-	if n == 0 {
-		return s, nil
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	// Workers pick up runs smallest-core-count first: per-thread program
-	// buffers are biggest there and only shrink as core counts grow, so a
-	// recycled buffer always fits the next run and each thread's buffer is
-	// allocated at most once per series. The result order is unaffected:
-	// every sample lands in its input slot.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ca, cb := coreCounts[order[a]], coreCounts[order[b]]
-		if ca != cb {
-			return ca < cb
-		}
-		return order[a] < order[b]
+	samples := make([]counters.Sample, len(coreCounts))
+	errs := make([]error, len(coreCounts))
+	pool.ForN(len(coreCounts), 0, func(i int) {
+		samples[i], errs[i] = Collect(w, mach, coreCounts[i], scale)
 	})
-	states := make([]*collectState, workers)
-	for i := range states {
-		states[i] = statePool.Get().(*collectState)
-	}
-	samples := make([]counters.Sample, n)
-	errs := make([]error, n)
-	pool.ForNWorker(n, workers, func(worker, j int) {
-		i := order[j]
-		samples[i], errs[i] = states[worker].collect(w, mach, coreCounts[i], scale)
-	})
-	for _, st := range states {
-		statePool.Put(st)
-	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	s.Samples = samples
+	s := &counters.Series{Workload: w.Name(), Machine: mach.Name, Scale: scale, Samples: samples}
 	s.Sort()
 	return s, nil
 }

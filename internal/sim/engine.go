@@ -356,17 +356,6 @@ func (e *Engine) distance(a, b int) int {
 	return int(e.dist[a*e.distN+b])
 }
 
-// Run executes the built workload and returns the measurement sample a real
-// ESTIMA collection run would produce: execution time, per-event backend and
-// frontend stall cycles, software stalls, per-site attribution and the
-// memory footprint.
-func Run(b *Builder) counters.Sample {
-	var e Engine
-	e.reset(b)
-	e.run()
-	return e.sample()
-}
-
 func (e *Engine) run() {
 	for _, t := range e.threads {
 		if len(t.prog) == 0 {

@@ -371,6 +371,34 @@ func TestCollectSeriesSortedAndValidated(t *testing.T) {
 	}
 }
 
+// CollectSeries is Collect at every core count of its schedule, in
+// core-count order, whichever pooled engine and program buffers each run
+// picks up.
+func TestCollectSeriesMatchesCollect(t *testing.T) {
+	w := wl{"series-vs-collect", func(b *Builder) {
+		data := b.Heap.Alloc("data", 1<<16, true, 0)
+		lock := b.NewLock(LockSpin)
+		site := b.Site("main")
+		for th := 0; th < b.Threads; th++ {
+			p := b.Thread(th).At(site)
+			for i := 0; i < 200; i++ {
+				p.Compute(50)
+				p.Load(data.Addr(uint64(b.Rand(1 << 16))))
+				p.Lock(lock).Store(data.Addr(0)).Unlock(lock)
+			}
+		}
+	}}
+	m := machine.Xeon20()
+	s, err := CollectSeries(w, m, []int{7, 1, 4}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []counters.Sample{mustCollect(t, w, m, 1), mustCollect(t, w, m, 4), mustCollect(t, w, m, 7)}
+	if !reflect.DeepEqual(s.Samples, want) {
+		t.Errorf("CollectSeries over {7, 1, 4} differs from Collect at 1, 4 and 7:\n got %+v\nwant %+v", s.Samples, want)
+	}
+}
+
 // Scale 0 means the full-size datasets: it measures exactly what scale 1
 // does, under the same seed, and records scale 1; a non-finite scale, or
 // one above MaxScale, is an error on every collection entry point before
