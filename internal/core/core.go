@@ -276,54 +276,52 @@ type ErrorBand struct {
 	MaxPctError float64
 }
 
-// Errors evaluates the prediction against an actual measured series on the
-// target machine, returning the maximum and mean absolute percentage error
-// over all target core counts present in both.
-func (p *Prediction) Errors(actual *counters.Series) (maxPct, meanPct float64, err error) {
+// PctErrors is the one scoring rule for predicted times: it pairs each
+// time with actual's sample at the same core count in (lo, hi] and returns
+// the maximum and the mean absolute percentage error of those pairs, in
+// cores order. ok is false when no core count pairs.
+func PctErrors(cores, times []float64, actual *counters.Series, lo, hi int) (maxPct, meanPct float64, ok bool) {
 	var pred, act []float64
-	for i, c := range p.TargetCores {
+	for i, c := range cores {
+		cc := int(c)
+		if cc <= lo || cc > hi {
+			continue
+		}
 		for _, s := range actual.Samples {
-			if s.Cores == int(c) {
-				pred = append(pred, p.Time[i])
+			if s.Cores == cc {
+				pred = append(pred, times[i])
 				act = append(act, s.Seconds)
 			}
 		}
 	}
 	if len(pred) == 0 {
+		return 0, 0, false
+	}
+	// Both only fail on unequal or empty slices, which pairing rules out.
+	maxPct, _ = stats.MaxAbsPctErr(pred, act)
+	meanPct, _ = stats.MeanAbsPctErr(pred, act)
+	return maxPct, meanPct, true
+}
+
+// Errors evaluates the prediction against an actual measured series on the
+// target machine, returning the maximum and mean absolute percentage error
+// over all target core counts present in both.
+func (p *Prediction) Errors(actual *counters.Series) (maxPct, meanPct float64, err error) {
+	maxPct, meanPct, ok := PctErrors(p.TargetCores, p.Time, actual, 0, math.MaxInt)
+	if !ok {
 		return 0, 0, errors.New("core: no overlapping core counts to evaluate")
 	}
-	maxPct, err = stats.MaxAbsPctErr(pred, act)
-	if err != nil {
-		return 0, 0, err
-	}
-	meanPct, err = stats.MeanAbsPctErr(pred, act)
-	return maxPct, meanPct, err
+	return maxPct, meanPct, nil
 }
 
 // BandErrors evaluates the prediction against the actual series within
 // core-count bands, mirroring Table 4's per-CPU-count columns.
 func (p *Prediction) BandErrors(actual *counters.Series, bands []ErrorBand) ([]ErrorBand, error) {
 	out := append([]ErrorBand(nil), bands...)
-	for bi := range out {
-		var pred, act []float64
-		for i, c := range p.TargetCores {
-			cc := int(c)
-			if cc <= out[bi].MinCores || cc > out[bi].MaxCores {
-				continue
-			}
-			for _, s := range actual.Samples {
-				if s.Cores == cc {
-					pred = append(pred, p.Time[i])
-					act = append(act, s.Seconds)
-				}
-			}
-		}
-		if len(pred) == 0 {
-			return nil, fmt.Errorf("core: band %q has no overlapping samples", out[bi].Label)
-		}
-		m, err := stats.MaxAbsPctErr(pred, act)
-		if err != nil {
-			return nil, err
+	for bi, b := range out {
+		m, _, ok := PctErrors(p.TargetCores, p.Time, actual, b.MinCores, b.MaxCores)
+		if !ok {
+			return nil, fmt.Errorf("core: band %q has no overlapping samples", b.Label)
 		}
 		out[bi].MaxPctError = m
 	}

@@ -273,6 +273,31 @@ func TestBandErrors(t *testing.T) {
 	}
 }
 
+// TestPctErrors pins the scoring rule: only core counts in (lo, hi] that
+// the actual series measured pair up, and an empty pairing is not ok.
+func TestPctErrors(t *testing.T) {
+	actual := &counters.Series{Samples: []counters.Sample{
+		{Cores: 1, Seconds: 10}, {Cores: 2, Seconds: 5}, {Cores: 4, Seconds: 2},
+	}}
+	cores := []float64{1, 2, 3, 4}
+	times := []float64{20, 6, 1, 3}
+	for _, c := range []struct {
+		lo, hi       int
+		maxPct, mean float64
+		ok           bool
+	}{
+		{0, 4, 100, 170.0 / 3, true}, // 100%, 20%, 50%: core 3 was not measured
+		{1, 4, 50, 35, true},
+		{1, 3, 20, 20, true},
+		{2, 3, 0, 0, false},
+	} {
+		maxPct, mean, ok := PctErrors(cores, times, actual, c.lo, c.hi)
+		if ok != c.ok || math.Abs(maxPct-c.maxPct) > 1e-9 || math.Abs(mean-c.mean) > 1e-9 {
+			t.Errorf("(%d, %d]: got %v %v %v, want %v %v %v", c.lo, c.hi, maxPct, mean, ok, c.maxPct, c.mean, c.ok)
+		}
+	}
+}
+
 func TestCheckpointOptionPropagates(t *testing.T) {
 	s := syntheticSeries(12)
 	p2, err := Predict(s, []int{24}, Options{Checkpoints: 2})

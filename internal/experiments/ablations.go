@@ -83,32 +83,28 @@ func ablationAggregate(e *env) (*Result, error) {
 // "we set c to 2 and 4").
 func ablationCheckpoints(e *env) (*Result, error) {
 	m := machine.Opteron()
-	tbl := &report.Table{
-		Title:   "max prediction error (13..48 cores, Opteron) by checkpoint count",
-		Headers: []string{"benchmark", "c=2", "c=4"},
-	}
-	for _, name := range []string{"genome", "intruder", "raytrace", "canneal", "K-NN"} {
-		full, err := e.series(name, m, m.NumCores(), 1)
-		if err != nil {
-			return nil, err
-		}
-		targets := coresFrom(12, 48)
-		row := []any{name}
+	names := []string{"genome", "intruder", "raytrace", "canneal", "K-NN"}
+	rows, err := perName(names, func(name string) ([]float64, error) {
+		var errs []float64
 		for _, c := range []int{2, 4} {
-			pred, err := e.predict(name, m, 12, 1, targets, core.Options{
+			maxPct, _, err := e.scored(name, m, 12, core.Options{
 				UseSoftware: usesSoftwareStalls(name), Checkpoints: c,
 			})
 			if err != nil {
 				return nil, err
 			}
-			maxPct, _, err := pred.Errors(full)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, report.Pct(maxPct))
+			errs = append(errs, maxPct)
 		}
-		tbl.AddRow(row...)
+		return errs, nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	tbl := &report.Table{
+		Title:   "max prediction error (13..48 cores, Opteron) by checkpoint count",
+		Headers: []string{"benchmark", "c=2", "c=4"},
+	}
+	addColumns(tbl, names, rows, report.Pct)
 	return &Result{Text: tbl.Render()}, nil
 }
 

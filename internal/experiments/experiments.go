@@ -18,9 +18,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/counters"
 	"repro/internal/machine"
+	"repro/internal/pool"
+	"repro/internal/report"
 	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/spec"
+	"repro/internal/stats"
 	"repro/internal/workloads"
 )
 
@@ -171,6 +174,82 @@ func (e *env) predict(workload string, m *machine.Config, measCores int, dataSca
 	}
 	pred, _, err := e.svc.Predicted(e.ctx, w, m, measCores, e.cfg.Scale*dataScale, targets, opt)
 	return pred, err
+}
+
+// scored predicts workload on m for every core count past its 1..measCores
+// window and scores the prediction against the full series (Errors). The
+// full series is collected first, so the planner assembles the window from
+// its samples.
+func (e *env) scored(workload string, m *machine.Config, measCores int, opt core.Options) (maxPct, meanPct float64, err error) {
+	full, err := e.series(workload, m, m.NumCores(), 1)
+	if err != nil {
+		return 0, 0, err
+	}
+	pred, err := e.predict(workload, m, measCores, 1, coresFrom(measCores, m.NumCores()), opt)
+	if err != nil {
+		return 0, 0, err
+	}
+	return pred.Errors(full)
+}
+
+// perName computes one row per name over one worker pool and returns the
+// rows in name order, or the first failure in name order, prefixed with
+// that name. The service CPU gate bounds the fitting work, so rows fan out
+// freely without oversubscribing the machine.
+func perName[R any](names []string, row func(name string) (R, error)) ([]R, error) {
+	rows := make([]R, len(names))
+	errs := make([]error, len(names))
+	pool.ForN(len(names), 0, func(i int) {
+		rows[i], errs[i] = row(names[i])
+	})
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", names[i], err)
+		}
+	}
+	return rows, nil
+}
+
+// addColumns adds one row per name to tbl, each value formatted by format,
+// and returns the values column by column (one column per header after
+// the first).
+func addColumns(tbl *report.Table, names []string, rows [][]float64, format func(float64) string) [][]float64 {
+	cols := make([][]float64, len(tbl.Headers)-1)
+	for i, name := range names {
+		cells := []any{name}
+		for c, v := range rows[i] {
+			cells = append(cells, format(v))
+			cols[c] = append(cols[c], v)
+		}
+		tbl.AddRow(cells...)
+	}
+	return cols
+}
+
+// summary is one row under a table's per-name rows: a label and the
+// statistic it reports of each column.
+type summary struct {
+	label string
+	of    func([]float64) float64
+}
+
+var (
+	average = summary{"Average", stats.Mean}
+	stdDev  = summary{"Std. Dev.", stats.StdDev}
+	maximum = summary{"Max.", stats.Max}
+	minimum = summary{"Min.", stats.Min}
+)
+
+// addSummary adds the summary rows under the per-name rows, each statistic
+// formatted by format.
+func addSummary(tbl *report.Table, cols [][]float64, format func(float64) string, rows ...summary) {
+	for _, s := range rows {
+		cells := []any{s.label}
+		for _, col := range cols {
+			cells = append(cells, format(s.of(col)))
+		}
+		tbl.AddRow(cells...)
+	}
 }
 
 // window returns the first maxCores samples of a series as a new series

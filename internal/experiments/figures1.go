@@ -174,17 +174,12 @@ func fig6(e *env) (*Result, error) {
 			Title:   fmt.Sprintf("%s: measured on %d cores of %s, predicted for %s", c.name, c.measured, desktop.Name, server.Name),
 			Headers: []string{"cores", "predicted(s)", "measured(s)", "err%"},
 		}
-		var errPred, errAct []float64
 		for i, smp := range act.Samples {
 			tbl.AddRow(smp.Cores, report.Sec(pred.Time[i]), report.Sec(smp.Seconds),
 				report.Pct(stats.AbsPctErr(pred.Time[i], smp.Seconds)))
-			if smp.Cores > c.measured {
-				errPred = append(errPred, pred.Time[i])
-				errAct = append(errAct, smp.Seconds)
-			}
 		}
 		sb.WriteString(tbl.Render())
-		maxPct, _ := stats.MaxAbsPctErr(errPred, errAct)
+		maxPct, _, _ := core.PctErrors(pred.TargetCores, pred.Time, act, c.measured, server.NumCores())
 		sb.WriteString(fmt.Sprintf("max error beyond the measurement window: %.1f%% (paper: <%d%%)\n",
 			maxPct, map[string]int{"memcached": 30, "sqlite": 26}[c.name]))
 		sb.WriteString(fmt.Sprintf("scaling stop: predicted %d cores, measured %d cores\n\n",

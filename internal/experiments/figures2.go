@@ -131,17 +131,13 @@ func fig9(e *env) (*Result, error) {
 			Title:   fmt.Sprintf("%s: measured 10 cores @1x data, predicted 20 cores @2x data", name),
 			Headers: []string{"cores", "predicted(s)", "measured@2x(s)", "err%"},
 		}
-		var pv, av []float64
 		for i, smp := range actual.Samples {
 			tbl.AddRow(smp.Cores, report.Sec(pred.Time[i]), report.Sec(smp.Seconds),
 				report.Pct(stats.AbsPctErr(pred.Time[i], smp.Seconds)))
-			if smp.Cores > 1 { // the paper excludes single-core error
-				pv = append(pv, pred.Time[i])
-				av = append(av, smp.Seconds)
-			}
 		}
 		sb.WriteString(tbl.Render())
-		maxPct, _ := stats.MaxAbsPctErr(pv, av)
+		// The paper excludes the single-core error.
+		maxPct, _, _ := core.PctErrors(pred.TargetCores, pred.Time, actual, 1, m.NumCores())
 		fp := meas.Samples[len(meas.Samples)-1].FootprintBytes
 		sb.WriteString(fmt.Sprintf("max error excluding 1 core: %.1f%%; measured footprint %d bytes (target 2x)\n\n", maxPct, fp))
 	}

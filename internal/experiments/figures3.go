@@ -25,40 +25,29 @@ func fig13(e *env) (*Result, error) {
 	m := machine.Opteron()
 	names := []string{"genome", "intruder", "kmeans", "labyrinth", "ssca2",
 		"vacation-high", "vacation-low", "yada", "streamcluster"}
+	rows, err := perName(names, func(name string) ([]float64, error) {
+		hw, _, err := e.scored(name, m, 12, core.Options{})
+		if err != nil {
+			return nil, err
+		}
+		sw, _, err := e.scored(name, m, 12, core.Options{UseSoftware: true})
+		if err != nil {
+			return nil, err
+		}
+		return []float64{hw, sw}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	tbl := &report.Table{
 		Title:   "max prediction error (13..48 cores, Opteron) with and without software stalls",
 		Headers: []string{"benchmark", "hw-only%", "hw+sw%"},
 	}
-	var hwErrs, swErrs []float64
-	for _, name := range names {
-		full, err := e.series(name, m, m.NumCores(), 1)
-		if err != nil {
-			return nil, err
-		}
-		targets := coresFrom(12, 48)
-		row := []any{name}
-		for _, useSoft := range []bool{false, true} {
-			pred, err := e.predict(name, m, 12, 1, targets, core.Options{UseSoftware: useSoft})
-			if err != nil {
-				return nil, err
-			}
-			maxPct, _, err := pred.Errors(full)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, report.Pct(maxPct))
-			if useSoft {
-				swErrs = append(swErrs, maxPct)
-			} else {
-				hwErrs = append(hwErrs, maxPct)
-			}
-		}
-		tbl.AddRow(row...)
-	}
-	impr := 100 * (stats.Mean(hwErrs) - stats.Mean(swErrs)) / stats.Mean(hwErrs)
+	cols := addColumns(tbl, names, rows, report.Pct)
+	hw, sw := stats.Mean(cols[0]), stats.Mean(cols[1])
 	text := tbl.Render() + fmt.Sprintf(
 		"\naverage max error: hw-only %.1f%%, hw+sw %.1f%% (improvement %.0f%%; paper: 57%% average)\n",
-		stats.Mean(hwErrs), stats.Mean(swErrs), impr)
+		hw, sw, 100*(hw-sw)/hw)
 	return &Result{Text: text}, nil
 }
 
@@ -139,18 +128,9 @@ func fig16(e *env) (*Result, error) {
 	m := machine.Xeon20()
 	var sb strings.Builder
 	for _, name := range []string{"lock-based HT", "kmeans"} {
-		full, err := e.series(name, m, m.NumCores(), 1)
-		if err != nil {
-			return nil, err
-		}
 		sb.WriteString(fmt.Sprintf("%s on Xeon20:\n", name))
 		for _, measCores := range []int{10, 14} {
-			targets := coresFrom(measCores, m.NumCores())
-			pred, err := e.predict(name, m, measCores, 1, targets, core.Options{UseSoftware: usesSoftwareStalls(name)})
-			if err != nil {
-				return nil, err
-			}
-			maxPct, meanPct, err := pred.Errors(full)
+			maxPct, meanPct, err := e.scored(name, m, measCores, core.Options{UseSoftware: usesSoftwareStalls(name)})
 			if err != nil {
 				return nil, err
 			}

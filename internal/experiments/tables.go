@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/machine"
-	"repro/internal/pool"
 	"repro/internal/report"
 	"repro/internal/stats"
 	"repro/internal/workloads"
@@ -51,53 +50,27 @@ func table4(e *env) (*Result, error) {
 	xeonBands := []core.ErrorBand{{Label: "2 CPUs", MinCores: 10, MaxCores: 20}}
 
 	names := workloads.Table4Names()
-	type rowResult struct {
-		opteron []core.ErrorBand
-		xeon    []core.ErrorBand
-		err     error
-	}
-	rows := make([]rowResult, len(names))
-	pool.ForN(len(names), 0, func(i int) {
-		name := names[i]
+	rows, err := perName(names, func(name string) ([]float64, error) {
 		ob, err := table4Row(e, name, opteron, 12, opteronBands)
 		if err != nil {
-			rows[i].err = err
-			return
+			return nil, err
 		}
 		xb, err := table4Row(e, name, xeon, 10, xeonBands)
 		if err != nil {
-			rows[i].err = err
-			return
+			return nil, err
 		}
-		rows[i] = rowResult{opteron: ob, xeon: xb}
+		return []float64{ob[0].MaxPctError, ob[1].MaxPctError, ob[2].MaxPctError, xb[0].MaxPctError}, nil
 	})
+	if err != nil {
+		return nil, err
+	}
 
 	tbl := &report.Table{
 		Title:   "max prediction errors (%), measured on one processor of each machine",
 		Headers: []string{"benchmark", "Opt 2CPUs", "Opt 3CPUs", "Opt 4CPUs", "Xeon20 2CPUs"},
 	}
-	cols := make([][]float64, 4)
-	for i, name := range names {
-		if rows[i].err != nil {
-			return nil, fmt.Errorf("%s: %w", name, rows[i].err)
-		}
-		vals := []float64{
-			rows[i].opteron[0].MaxPctError,
-			rows[i].opteron[1].MaxPctError,
-			rows[i].opteron[2].MaxPctError,
-			rows[i].xeon[0].MaxPctError,
-		}
-		tbl.AddRow(name, report.Pct(vals[0]), report.Pct(vals[1]), report.Pct(vals[2]), report.Pct(vals[3]))
-		for c, v := range vals {
-			cols[c] = append(cols[c], v)
-		}
-	}
-	tbl.AddRow("Average", report.Pct(stats.Mean(cols[0])), report.Pct(stats.Mean(cols[1])),
-		report.Pct(stats.Mean(cols[2])), report.Pct(stats.Mean(cols[3])))
-	tbl.AddRow("Std. Dev.", report.Pct(stats.StdDev(cols[0])), report.Pct(stats.StdDev(cols[1])),
-		report.Pct(stats.StdDev(cols[2])), report.Pct(stats.StdDev(cols[3])))
-	tbl.AddRow("Max.", report.Pct(stats.Max(cols[0])), report.Pct(stats.Max(cols[1])),
-		report.Pct(stats.Max(cols[2])), report.Pct(stats.Max(cols[3])))
+	cols := addColumns(tbl, names, rows, report.Pct)
+	addSummary(tbl, cols, report.Pct, average, stdDev, maximum)
 
 	// The paper's headline claims for this table.
 	count := func(vals []float64, below float64) int {
@@ -129,97 +102,58 @@ func correlationOf(e *env, name string, m *machine.Config, includeFrontend bool)
 	return stats.Pearson(spc, s.Times())
 }
 
+// correlationTable renders Table 5 or 6: value of every benchmark on the
+// full Opteron, Xeon20 and Xeon48, to two decimals, with the given summary
+// rows under them.
+func correlationTable(e *env, title string, value func(name string, m *machine.Config) (float64, error), summaries ...summary) (*Result, error) {
+	machines := []*machine.Config{machine.Opteron(), machine.Xeon20(), machine.Xeon48()}
+	names := workloads.Table4Names()
+	rows, err := perName(names, func(name string) ([]float64, error) {
+		vals := make([]float64, len(machines))
+		for mi, m := range machines {
+			v, err := value(name, m)
+			if err != nil {
+				return nil, err
+			}
+			vals[mi] = v
+		}
+		return vals, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	tbl := &report.Table{Title: title, Headers: []string{"benchmark", "Opteron", "Xeon20", "Xeon48"}}
+	twoDecimals := func(v float64) string { return fmt.Sprintf("%.2f", v) }
+	addSummary(tbl, addColumns(tbl, names, rows, twoDecimals), twoDecimals, summaries...)
+	return &Result{Text: tbl.Render()}, nil
+}
+
 // table5 reproduces Table 5: the correlation between total stalled cycles
 // per core and execution time over the full Opteron, Xeon20 and Xeon48 —
 // the validity check of ESTIMA's central assumption (§5.1).
 func table5(e *env) (*Result, error) {
-	machines := []*machine.Config{machine.Opteron(), machine.Xeon20(), machine.Xeon48()}
-	tbl := &report.Table{
-		Title:   "correlation of stalled cycles per core with execution time",
-		Headers: []string{"benchmark", "Opteron", "Xeon20", "Xeon48"},
-	}
-	names := workloads.Table4Names()
-	cols := make([][]float64, len(machines))
-	type res struct {
-		vals [3]float64
-		err  error
-	}
-	rows := make([]res, len(names))
-	pool.ForN(len(names), 0, func(i int) {
-		name := names[i]
-		for mi, m := range machines {
-			v, err := correlationOf(e, name, m, false)
-			if err != nil {
-				rows[i].err = err
-				return
-			}
-			rows[i].vals[mi] = v
-		}
-	})
-	for i, name := range names {
-		if rows[i].err != nil {
-			return nil, rows[i].err
-		}
-		tbl.AddRow(name, fmt.Sprintf("%.2f", rows[i].vals[0]),
-			fmt.Sprintf("%.2f", rows[i].vals[1]), fmt.Sprintf("%.2f", rows[i].vals[2]))
-		for mi := range machines {
-			cols[mi] = append(cols[mi], rows[i].vals[mi])
-		}
-	}
-	tbl.AddRow("Average", fmt.Sprintf("%.2f", stats.Mean(cols[0])),
-		fmt.Sprintf("%.2f", stats.Mean(cols[1])), fmt.Sprintf("%.2f", stats.Mean(cols[2])))
-	tbl.AddRow("Std. Dev.", fmt.Sprintf("%.2f", stats.StdDev(cols[0])),
-		fmt.Sprintf("%.2f", stats.StdDev(cols[1])), fmt.Sprintf("%.2f", stats.StdDev(cols[2])))
-	tbl.AddRow("Min.", fmt.Sprintf("%.2f", stats.Min(cols[0])),
-		fmt.Sprintf("%.2f", stats.Min(cols[1])), fmt.Sprintf("%.2f", stats.Min(cols[2])))
-	return &Result{Text: tbl.Render()}, nil
+	return correlationTable(e, "correlation of stalled cycles per core with execution time",
+		func(name string, m *machine.Config) (float64, error) {
+			return correlationOf(e, name, m, false)
+		}, average, stdDev, minimum)
 }
 
 // table6 reproduces Table 6 (§5.2): how much adding frontend stalls changes
 // the correlation — near zero or negative on average, confirming the
 // backend-only design.
 func table6(e *env) (*Result, error) {
-	machines := []*machine.Config{machine.Opteron(), machine.Xeon20(), machine.Xeon48()}
-	tbl := &report.Table{
-		Title:   "frontend+backend correlation improvement over backend-only (%)",
-		Headers: []string{"benchmark", "Opteron", "Xeon20", "Xeon48"},
-	}
-	names := workloads.Table4Names()
-	cols := make([][]float64, len(machines))
-	type res struct {
-		vals [3]float64
-		err  error
-	}
-	rows := make([]res, len(names))
-	pool.ForN(len(names), 0, func(i int) {
-		name := names[i]
-		for mi, m := range machines {
+	return correlationTable(e, "frontend+backend correlation improvement over backend-only (%)",
+		func(name string, m *machine.Config) (float64, error) {
 			base, err := correlationOf(e, name, m, false)
 			if err != nil {
-				rows[i].err = err
-				return
+				return 0, err
 			}
 			withFE, err := correlationOf(e, name, m, true)
 			if err != nil {
-				rows[i].err = err
-				return
+				return 0, err
 			}
-			rows[i].vals[mi] = 100 * (withFE - base) / base
-		}
-	})
-	for i, name := range names {
-		if rows[i].err != nil {
-			return nil, rows[i].err
-		}
-		tbl.AddRow(name, fmt.Sprintf("%.2f", rows[i].vals[0]),
-			fmt.Sprintf("%.2f", rows[i].vals[1]), fmt.Sprintf("%.2f", rows[i].vals[2]))
-		for mi := range machines {
-			cols[mi] = append(cols[mi], rows[i].vals[mi])
-		}
-	}
-	tbl.AddRow("Average", fmt.Sprintf("%.2f", stats.Mean(cols[0])),
-		fmt.Sprintf("%.2f", stats.Mean(cols[1])), fmt.Sprintf("%.2f", stats.Mean(cols[2])))
-	return &Result{Text: tbl.Render()}, nil
+			return 100 * (withFE - base) / base, nil
+		}, average)
 }
 
 // table7 reproduces Table 7 (§5.5): measuring on BOTH sockets of Xeon20
@@ -231,30 +165,17 @@ func table7(e *env) (*Result, error) {
 	x48 := machine.Xeon48()
 	freqRatio := x20.FreqGHz / x48.FreqGHz
 	names := workloads.Table4Names()
-	tbl := &report.Table{
-		Title:   "max prediction errors (%): Xeon20 single-socket (Table 4) vs Xeon20 full -> Xeon48",
-		Headers: []string{"benchmark", "Xeon20", "Xeon20->Xeon48"},
-	}
-	type res struct {
-		x20, x48 float64
-		err      error
-	}
-	rows := make([]res, len(names))
-	pool.ForN(len(names), 0, func(i int) {
-		name := names[i]
+	rows, err := perName(names, func(name string) ([]float64, error) {
 		// Column 1: the Table 4 scenario.
 		bands, err := table4Row(e, name, x20, 10,
 			[]core.ErrorBand{{Label: "2 CPUs", MinCores: 10, MaxCores: 20}})
 		if err != nil {
-			rows[i].err = err
-			return
+			return nil, err
 		}
-		rows[i].x20 = bands[0].MaxPctError
 		// Column 2: both Xeon20 sockets measured, Xeon48 targeted.
 		act, err := e.series(name, x48, x48.NumCores(), 1)
 		if err != nil {
-			rows[i].err = err
-			return
+			return nil, err
 		}
 		targets := coresFrom(x20.NumCores(), x48.NumCores())
 		pred, err := e.predict(name, x20, x20.NumCores(), 1, targets, core.Options{
@@ -262,30 +183,25 @@ func table7(e *env) (*Result, error) {
 			FreqRatio:   freqRatio,
 		})
 		if err != nil {
-			rows[i].err = err
-			return
+			return nil, err
 		}
 		maxPct, _, err := pred.Errors(act)
 		if err != nil {
-			rows[i].err = err
-			return
+			return nil, err
 		}
-		rows[i].x48 = maxPct
+		return []float64{bands[0].MaxPctError, maxPct}, nil
 	})
-	var c20, c48 []float64
-	for i, name := range names {
-		if rows[i].err != nil {
-			return nil, fmt.Errorf("%s: %w", name, rows[i].err)
-		}
-		tbl.AddRow(name, report.Pct(rows[i].x20), report.Pct(rows[i].x48))
-		c20 = append(c20, rows[i].x20)
-		c48 = append(c48, rows[i].x48)
+	if err != nil {
+		return nil, err
 	}
-	tbl.AddRow("Average", report.Pct(stats.Mean(c20)), report.Pct(stats.Mean(c48)))
-	tbl.AddRow("Std. Dev.", report.Pct(stats.StdDev(c20)), report.Pct(stats.StdDev(c48)))
-	tbl.AddRow("Max.", report.Pct(stats.Max(c20)), report.Pct(stats.Max(c48)))
+	tbl := &report.Table{
+		Title:   "max prediction errors (%): Xeon20 single-socket (Table 4) vs Xeon20 full -> Xeon48",
+		Headers: []string{"benchmark", "Xeon20", "Xeon20->Xeon48"},
+	}
+	cols := addColumns(tbl, names, rows, report.Pct)
+	addSummary(tbl, cols, report.Pct, average, stdDev, maximum)
 	text := tbl.Render() + fmt.Sprintf(
 		"\npaper: average falls 17.7%% -> 13.9%% with lower std. dev.; here %.1f%% -> %.1f%%\n",
-		stats.Mean(c20), stats.Mean(c48))
+		stats.Mean(cols[0]), stats.Mean(cols[1]))
 	return &Result{Text: text}, nil
 }

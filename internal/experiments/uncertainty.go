@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/machine"
-	"repro/internal/pool"
 	"repro/internal/report"
 	"repro/internal/stats"
 	"repro/internal/workloads"
@@ -32,19 +31,13 @@ func uncertainty(e *env) (*Result, error) {
 	m := machine.Opteron()
 	names := workloads.Table4Names()
 	type row struct {
-		maxPct   float64
-		width    float64
-		coverage float64
-		minStab  float64
-		err      error
+		maxPct, width, coverage, minStab float64
 	}
-	rows := make([]row, len(names))
-	pool.ForN(len(names), 0, func(i int) {
-		name := names[i]
+	rows, err := perName(names, func(name string) (row, error) {
+		var r row
 		full, err := e.series(name, m, m.NumCores(), 1)
 		if err != nil {
-			rows[i].err = err
-			return
+			return r, err
 		}
 		targets := coresFrom(12, m.NumCores())
 		// The service CPU gate bounds the fitting and bootstrap work;
@@ -56,12 +49,10 @@ func uncertainty(e *env) (*Result, error) {
 			Workers:     1,
 		})
 		if err != nil {
-			rows[i].err = err
-			return
+			return r, err
 		}
-		if rows[i].maxPct, _, err = pred.Errors(full); err != nil {
-			rows[i].err = err
-			return
+		if r.maxPct, _, err = pred.Errors(full); err != nil {
+			return r, err
 		}
 		widths := make([]float64, len(pred.TargetCores))
 		covered, total := 0, 0
@@ -76,17 +67,21 @@ func uncertainty(e *env) (*Result, error) {
 				}
 			}
 		}
-		rows[i].width = stats.Mean(widths)
+		r.width = stats.Mean(widths)
 		if total > 0 {
-			rows[i].coverage = 100 * float64(covered) / float64(total)
+			r.coverage = 100 * float64(covered) / float64(total)
 		}
-		rows[i].minStab = 1
+		r.minStab = 1
 		for _, s := range pred.Stability {
-			if s < rows[i].minStab {
-				rows[i].minStab = s
+			if s < r.minStab {
+				r.minStab = s
 			}
 		}
+		return r, nil
 	})
+	if err != nil {
+		return nil, err
+	}
 
 	tbl := &report.Table{
 		Title: fmt.Sprintf("prediction uncertainty on the Opteron (12 measured cores, %d bootstrap resamples, %g%% CI)",
@@ -94,15 +89,12 @@ func uncertainty(e *env) (*Result, error) {
 		Headers: []string{"benchmark", "max err%", "CI width%", "coverage%", "min stability"},
 	}
 	var errs, widths, covs []float64
-	for i, name := range names {
-		if rows[i].err != nil {
-			return nil, fmt.Errorf("%s: %w", name, rows[i].err)
-		}
-		tbl.AddRow(name, report.Pct(rows[i].maxPct), report.Pct(rows[i].width),
-			report.Pct(rows[i].coverage), fmt.Sprintf("%.2f", rows[i].minStab))
-		errs = append(errs, rows[i].maxPct)
-		widths = append(widths, rows[i].width)
-		covs = append(covs, rows[i].coverage)
+	for i, r := range rows {
+		tbl.AddRow(names[i], report.Pct(r.maxPct), report.Pct(r.width),
+			report.Pct(r.coverage), fmt.Sprintf("%.2f", r.minStab))
+		errs = append(errs, r.maxPct)
+		widths = append(widths, r.width)
+		covs = append(covs, r.coverage)
 	}
 	tbl.AddRow("Average", report.Pct(stats.Mean(errs)), report.Pct(stats.Mean(widths)),
 		report.Pct(stats.Mean(covs)), "")

@@ -9,11 +9,12 @@ package timex
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/counters"
 	"repro/internal/fit"
-	"repro/internal/stats"
 )
 
 // Prediction is a time-extrapolation result.
@@ -71,24 +72,12 @@ func Extrapolate(series *counters.Series, targetCores []int, opt fit.Options) (*
 }
 
 // Errors evaluates the prediction against an actual series, returning the
-// maximum and mean absolute percentage error over overlapping core counts.
+// maximum and mean absolute percentage error over overlapping core counts
+// (core.PctErrors).
 func (p *Prediction) Errors(actual *counters.Series) (maxPct, meanPct float64, err error) {
-	var pred, act []float64
-	for i, c := range p.TargetCores {
-		for _, s := range actual.Samples {
-			if s.Cores == int(c) {
-				pred = append(pred, p.Time[i])
-				act = append(act, s.Seconds)
-			}
-		}
-	}
-	if len(pred) == 0 {
+	maxPct, meanPct, ok := core.PctErrors(p.TargetCores, p.Time, actual, 0, math.MaxInt)
+	if !ok {
 		return 0, 0, errors.New("timex: no overlapping core counts to evaluate")
 	}
-	maxPct, err = stats.MaxAbsPctErr(pred, act)
-	if err != nil {
-		return 0, 0, err
-	}
-	meanPct, err = stats.MeanAbsPctErr(pred, act)
-	return maxPct, meanPct, err
+	return maxPct, meanPct, nil
 }
