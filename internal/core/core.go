@@ -197,25 +197,28 @@ func PredictContext(ctx context.Context, series *counters.Series, targetCores []
 	return NewPipeline(opt).Run(ctx, series, targetCores)
 }
 
-// approximateRelaxing runs the Figure 4 approximation, progressively
-// relaxing the realism filters if they reject every candidate (very noisy
-// small categories occasionally defeat the strict settings; the tool must
-// still produce an answer).
+// approximateRelaxing runs the Figure 4 approximation, falling back to
+// lastResort if the realism filters reject every candidate.
 func approximateRelaxing(xs, ys []float64, fopt fit.Options) (*fit.Fit, error) {
 	f, err := fit.Approximate(xs, ys, fopt)
 	if err == nil {
 		return f, nil
 	}
-	// Last resort: a linear continuation. It cannot blow up and always
-	// exists; noisy small categories occasionally defeat every Table 1
-	// kernel's realism checks.
-	relaxed := fopt
-	relaxed.Kernels = []*fit.Kernel{fit.Linear}
-	relaxed.MaxFitNRMSE = 1e9
-	relaxed.MaxGrowth = 1e9
-	relaxed.TailSlopeCap = 0
-	relaxed.AllowNegative = true
-	return fit.Approximate(xs, ys, relaxed)
+	return fit.Approximate(xs, ys, lastResort(fopt))
+}
+
+// lastResort relaxes fit options to a linear continuation with every
+// realism filter off. Noisy small series occasionally defeat every Table 1
+// kernel's realism checks, and the tool must still produce an answer, so
+// both fitting stages (approximateRelaxing and SelectFactor) fall back to
+// it.
+func lastResort(fopt fit.Options) fit.Options {
+	fopt.Kernels = []*fit.Kernel{fit.Linear}
+	fopt.MaxFitNRMSE = 1e9
+	fopt.MaxGrowth = 1e9
+	fopt.TailSlopeCap = 0
+	fopt.AllowNegative = true
+	return fopt
 }
 
 // RelativeBandWidth is the width of a bootstrap confidence band relative to

@@ -298,6 +298,28 @@ func TestPctErrors(t *testing.T) {
 	}
 }
 
+// TestFactorStageFallsBack: sqlite measured on 4 Haswell cores at scale
+// 0.05 defeats every Table 1 kernel for the scaling factor. The factor
+// stage then falls back to the same linear continuation as the category
+// stage instead of failing the prediction.
+func TestFactorStageFallsBack(t *testing.T) {
+	w, err := workloads.Lookup("sqlite")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sim.CollectSeries(w, machine.HaswellDesktop(), sim.CoreRange(4), 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, err := Predict(s, sim.CoreRange(20), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pred.FactorFit.Kernel != fit.Linear {
+		t.Errorf("factor fit %s, want the linear last resort", pred.FactorFit)
+	}
+}
+
 func TestCheckpointOptionPropagates(t *testing.T) {
 	s := syntheticSeries(12)
 	p2, err := Predict(s, []int{24}, Options{Checkpoints: 2})

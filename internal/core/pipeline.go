@@ -254,6 +254,9 @@ func (pl *Pipeline) SelectFactor(series *counters.Series, targets, stallsPerCore
 	factorOpt.HiBound = lastTime * 4
 	ffit, err := fit.SelectByCorrelation(xs, factor, targets, stallsPerCore, factorOpt)
 	if err != nil {
+		ffit, err = fit.SelectByCorrelation(xs, factor, targets, stallsPerCore, lastResort(factorOpt))
+	}
+	if err != nil {
 		return nil, fmt.Errorf("core: fitting scaling factor for %s: %w", series.Workload, err)
 	}
 	return ffit, nil
