@@ -97,7 +97,7 @@ type Coordinator struct {
 	// cell it has seen without a worker request. A cell that carries an
 	// Error is not retained.
 	relayFlights *flight.Group[string, relayResult]
-	cellFlights  *flight.Group[string, service.SweepCell]
+	cellFlights  *flight.Group[service.FitKey, service.SweepCell]
 
 	stop context.CancelFunc
 	wg   sync.WaitGroup
@@ -123,7 +123,7 @@ func New(cfg Config) (*Coordinator, error) {
 		healthy:      make([]atomic.Bool, len(cfg.Workers)),
 		client:       cfg.Client,
 		relayFlights: flight.New[string, relayResult](0),
-		cellFlights:  flight.New[string, service.SweepCell](service.DefaultFitCacheSize),
+		cellFlights:  flight.New[service.FitKey, service.SweepCell](service.DefaultFitCacheSize),
 	}
 	if c.client == nil {
 		c.client = &http.Client{}

@@ -153,7 +153,8 @@ type SweepRequest struct {
 	Scale float64 `json:"scale,omitempty"`
 	// Soft includes software stall categories.
 	Soft bool `json:"soft,omitempty"`
-	// Workers bounds the job-level worker pool; 0 means NumCPU.
+	// Workers bounds the job-level worker pool at or below the service's
+	// Workers; 0 means the service's.
 	Workers int `json:"workers,omitempty"`
 	// Bootstrap / CILevel enable confidence bands per cell; Seed picks the
 	// deterministic bootstrap resampling stream (0 means the default seed).

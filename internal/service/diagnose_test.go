@@ -11,13 +11,13 @@ import (
 // TestWarmDiagnoseDoesNoNewFits is the tentpole's planner acceptance: a
 // diagnose of a previously predicted scenario is pure post-processing — it
 // assembles the identical options fingerprint, lands on the identical
-// artifact key, and therefore performs zero new fits, zero new collections,
+// fit key, and therefore performs zero new fits, zero new collections,
 // and one fit-memo hit.
 func TestWarmDiagnoseDoesNoNewFits(t *testing.T) {
 	var sims atomic.Int64
 	svc := newTestService(t, Config{CollectSample: countingCollector(&sims)})
 	var fits atomic.Int64
-	svc.fitHook = func(string) { fits.Add(1) }
+	svc.fitHook = func(FitKey) { fits.Add(1) }
 
 	if _, err := svc.Predict(bg, PredictRequest{Workload: "intruder", Machine: "Haswell", Scale: 0.05}); err != nil {
 		t.Fatal(err)

@@ -71,7 +71,8 @@ type ExploreRequest struct {
 	Bootstrap int     `json:"bootstrap,omitempty"`
 	CILevel   float64 `json:"ci_level,omitempty"`
 	Seed      int64   `json:"seed,omitempty"`
-	// Workers bounds the per-round worker pool; 0 means the service default.
+	// Workers bounds the per-round worker pool at or below the service's
+	// Workers; 0 means the service's.
 	Workers int `json:"workers,omitempty"`
 }
 

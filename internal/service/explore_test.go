@@ -79,7 +79,7 @@ func TestExploreCoversRegionUnderBudget(t *testing.T) {
 func TestExploreDeterministicAcrossWorkers(t *testing.T) {
 	var bodies [][]byte
 	for _, workers := range []int{1, 4} {
-		svc := newTestService(t, Config{})
+		svc := newTestService(t, Config{Workers: workers})
 		req := exploreTestRequest()
 		req.Workers = workers
 		resp, err := svc.Explore(bg, req)
@@ -131,13 +131,13 @@ func TestExploreValidation(t *testing.T) {
 
 // TestWarmExploreDoesNoNewFitsOrSims: an explore whose region was already
 // swept with the identical effective options is pure cache replay — the
-// explorer's cells land on the same series and artifact keys a sweep built,
+// explorer's cells land on the same fit keys a sweep built,
 // so it performs zero new fits, zero simulator calls, and only memo hits.
 func TestWarmExploreDoesNoNewFitsOrSims(t *testing.T) {
 	var sims atomic.Int64
 	svc := newTestService(t, Config{CollectSample: countingCollector(&sims)})
 	var fits atomic.Int64
-	svc.fitHook = func(string) { fits.Add(1) }
+	svc.fitHook = func(FitKey) { fits.Add(1) }
 
 	if _, err := svc.Sweep(bg, SweepRequest{
 		Workloads: []string{exploreTestRegion},

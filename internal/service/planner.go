@@ -3,28 +3,25 @@
 // (collect → fit → predict) steps.
 //
 // Decomposition: every matrix cell becomes one PlannedCell carrying its
-// series key (the collect step) and its artifact key (the fit+predict
-// step). Cells sharing a series key share one collection (the in-process
-// sample memo simulates each sample once), and cells sharing an artifact
-// key share one fit: the fitted-model memo below collapses concurrent
-// duplicates and retains finished artifacts in a bounded LRU, so a warm
-// sweep performs zero new fits per already-seen (workload, machine,
-// options, targets) input. Evicted artifacts are cheap to restore: their
-// measurement samples persist in the store, and refitting costs far less
-// than re-measuring.
+// fit key (the collect → fit → predict step). Cells measuring one window
+// share one collection (the in-process sample memo simulates each sample
+// once), and cells sharing a fit key share one fit: the fitted-model memo
+// below collapses concurrent duplicates and retains finished artifacts in
+// a bounded LRU, so a warm sweep performs zero new fits per already-seen
+// (workload, machine, options, targets) input. Evicted artifacts are cheap
+// to restore: their measurement samples persist in the store, and
+// refitting costs far less than re-measuring.
 package service
 
 import (
 	"context"
 	"strconv"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/spec"
-	"repro/internal/store"
 	"repro/internal/workloads"
 )
 
@@ -71,22 +68,37 @@ type fitResult struct {
 	seriesHit bool
 }
 
-// artifactKey identifies one fitted-model artifact: the measurement
-// series' content address (the store key hash) plus the options
-// fingerprint (core.Options.Fingerprint) and the prediction targets.
-func artifactKey(sk store.Key, targets []int, fingerprint string) string {
-	var b strings.Builder
-	b.WriteString(sk.Hash())
-	b.WriteString("|")
-	b.WriteString(fingerprint)
-	b.WriteString("|t=")
+// FitKey identifies one fitted-model artifact: the measurement window (the
+// canonical workload and machine names, the window's top core count and
+// the resolved scale), the options fingerprint (core.Options.Fingerprint)
+// and the prediction targets, joined by joinTargets. It is comparable, so
+// the fit memo and the coordinator's cell memo key on it directly.
+type FitKey struct {
+	Workload, Machine string
+	MeasCores         int
+	Scale             float64
+	Options, Targets  string
+}
+
+// fitKey is the one constructor of a FitKey.
+//
+//estima:canonical workload mach
+func fitKey(workload, mach string, measCores int, scale float64, fingerprint, targets string) FitKey {
+	return FitKey{Workload: workload, Machine: mach, MeasCores: measCores, Scale: scale,
+		Options: fingerprint, Targets: targets}
+}
+
+// joinTargets is a target list's form in a FitKey: the decimal core counts,
+// comma-separated.
+func joinTargets(targets []int) string {
+	b := make([]byte, 0, 3*len(targets))
 	for i, t := range targets {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(strconv.Itoa(t))
+		b = strconv.AppendInt(b, int64(t), 10)
 	}
-	return b.String()
+	return string(b)
 }
 
 // FitCacheStats reports the planner's lifetime counters: how many fit
@@ -131,7 +143,7 @@ func (s *Service) predicted(ctx context.Context, w sim.Workload, m *machine.Conf
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
-	key := artifactKey(seriesKey(w.Name(), m.Name, measCores, scale), targets, fp)
+	key := fitKey(w.Name(), m.Name, measCores, scale, fp, joinTargets(targets))
 	if r, ok := s.fits.Get(key); ok {
 		return r.pred, r.seriesHit, nil
 	}
@@ -143,7 +155,7 @@ func (s *Service) predicted(ctx context.Context, w sim.Workload, m *machine.Conf
 
 // fit computes one fitted-model memo value: measure (or replay) the
 // series, fit every category, finish the prediction.
-func (s *Service) fit(ctx context.Context, key string, w sim.Workload, m *machine.Config, measCores int, scale float64, targets []int, opt core.Options) (fitResult, error) {
+func (s *Service) fit(ctx context.Context, key FitKey, w sim.Workload, m *machine.Config, measCores int, scale float64, targets []int, opt core.Options) (fitResult, error) {
 	if s.fitHook != nil {
 		s.fitHook(key)
 	}
@@ -239,7 +251,7 @@ type PlannedCell struct {
 	// FitKey identifies the cell's fit+predict step, so cells sharing one
 	// (overlapping grids, possibly from different clients) can share one
 	// execution.
-	FitKey string
+	FitKey FitKey
 
 	sc scenario
 }
@@ -358,30 +370,34 @@ func (s *Service) PlanSweep(req SweepRequest) (*PlannedSweep, error) {
 	}
 
 	plan := &PlannedSweep{Workloads: make([]string, len(ws)), Machines: make([]string, len(machs)), Cells: make([]PlannedCell, 0, n)}
-	// One targets slice per machine, shared by that machine's whole column.
+	// One targets slice per machine, joined once, shared by that machine's
+	// whole column.
 	machTargets := make([][]int, len(machs))
+	joined := make([]string, len(machs))
 	for mi, m := range machs {
 		plan.Machines[mi] = m.Name
 		machTargets[mi] = sim.CoreRange(m.NumCores())
+		joined[mi] = joinTargets(machTargets[mi])
 	}
 	fingerprint, _ := cellOpt.Fingerprint()
-	seriesSeen := make(map[store.Key]struct{}, n)
-	fitSeen := make(map[string]struct{}, n)
+	// Every cell of a plan shares its options and a machine fixes its
+	// targets, so the plan's series and fits are one-to-one: one set of fit
+	// keys counts both.
+	fitSeen := make(map[FitKey]struct{}, n)
 	for wi, w := range ws {
 		plan.Workloads[wi] = w.Name()
 		for mi, m := range machs {
 			cell := planCell(newScenario(w, m, m, req.MeasCores, scale, machTargets[mi]), opts)
-			sk := seriesKey(plan.Workloads[wi], m.Name, cell.Request.MeasCores, scale)
-			cell.FitKey = artifactKey(sk, cell.sc.targets, fingerprint)
-			seriesSeen[sk] = struct{}{}
+			cell.FitKey = fitKey(plan.Workloads[wi], m.Name, cell.Request.MeasCores, scale, fingerprint, joined[mi])
 			fitSeen[cell.FitKey] = struct{}{}
 			plan.Cells = append(plan.Cells, cell)
 		}
 	}
-	plan.DistinctSeries, plan.DistinctFits = len(seriesSeen), len(fitSeen)
-	plan.Workers = req.Workers
-	if plan.Workers <= 0 {
-		plan.Workers = s.cfg.Workers
+	plan.DistinctSeries, plan.DistinctFits = len(fitSeen), len(fitSeen)
+	// A request may narrow the service's fan-out, never widen it.
+	plan.Workers = s.cfg.Workers
+	if req.Workers > 0 {
+		plan.Workers = min(req.Workers, s.cfg.Workers)
 	}
 	return plan, nil
 }
@@ -425,7 +441,7 @@ func expandAxis[T any](entries []string, lookup func(string) (T, error), name fu
 
 // RouteKey is the shard identity of a scenario: the canonical workload and
 // machine names, NUL-joined (both are spec-canonical, so neither contains a
-// NUL). Deliberately coarser than the full series/artifact key: every
+// NUL). Deliberately coarser than the full fit key: every
 // schedule, scale and option variant of one scenario routes to the same
 // worker, so every schedule of the scenario is assembled from the samples
 // that worker's store and memo already hold, and its fit memo sees every

@@ -32,7 +32,7 @@ func TestWarmSweepDoesNoNewFitsOrCollections(t *testing.T) {
 	var sims atomic.Int64
 	svc := newTestService(t, Config{CollectSample: countingCollector(&sims)})
 	var fits atomic.Int64
-	svc.fitHook = func(string) { fits.Add(1) }
+	svc.fitHook = func(FitKey) { fits.Add(1) }
 
 	// 2 workloads × 2 machines, with intruder listed twice: 6 cells, 4
 	// distinct inputs.
@@ -89,7 +89,7 @@ func TestConcurrentSweepsCollapseDuplicateFits(t *testing.T) {
 	var sims atomic.Int64
 	svc := newTestService(t, Config{CollectSample: countingCollector(&sims)})
 	var fits atomic.Int64
-	svc.fitHook = func(string) { fits.Add(1) }
+	svc.fitHook = func(FitKey) { fits.Add(1) }
 	req := SweepRequest{
 		Workloads: []string{"intruder", "genome", "kmeans"},
 		Machines:  []string{"Haswell"},
@@ -132,7 +132,7 @@ func TestConcurrentSweepsCollapseDuplicateFits(t *testing.T) {
 func TestPredictSharesArtifactsWithSweep(t *testing.T) {
 	svc := newTestService(t, Config{})
 	var fits atomic.Int64
-	svc.fitHook = func(string) { fits.Add(1) }
+	svc.fitHook = func(FitKey) { fits.Add(1) }
 	if _, err := svc.Predict(bg, PredictRequest{Workload: "intruder", Machine: "Haswell", Scale: 0.05}); err != nil {
 		t.Fatal(err)
 	}
@@ -154,9 +154,9 @@ func TestPredictSharesArtifactsWithSweep(t *testing.T) {
 func TestFitCacheEvictionRefits(t *testing.T) {
 	var sims atomic.Int64
 	svc := newTestService(t, Config{CollectSample: countingCollector(&sims)})
-	svc.fits = flight.New[string, fitResult](1)
+	svc.fits = flight.New[FitKey, fitResult](1)
 	var fits atomic.Int64
-	svc.fitHook = func(string) { fits.Add(1) }
+	svc.fitHook = func(FitKey) { fits.Add(1) }
 	predict := func(workload string) {
 		t.Helper()
 		if _, err := svc.Predict(bg, PredictRequest{Workload: workload, Machine: "Haswell", Scale: 0.05}); err != nil {
@@ -348,7 +348,7 @@ func TestSweepStreamEmitErrorAborts(t *testing.T) {
 // only after every cell runner it started has returned, so no runner
 // outlives the request.
 func TestSweepStreamWaitsForStartedCells(t *testing.T) {
-	svc := newTestService(t, Config{})
+	svc := newTestService(t, Config{Workers: 3})
 	req := SweepRequest{
 		Workloads: []string{"intruder", "genome", "kmeans", "ssca2"},
 		Machines:  []string{"Haswell"},
@@ -370,6 +370,21 @@ func TestSweepStreamWaitsForStartedCells(t *testing.T) {
 	}
 	if n := running.Load(); n != 0 {
 		t.Errorf("%d cell runners still running after sweepStream returned", n)
+	}
+}
+
+// TestPlanSweepCapsWorkers: a request may narrow the service's fan-out,
+// never widen it. The test only plans, so it starts no cell goroutine.
+func TestPlanSweepCapsWorkers(t *testing.T) {
+	svc := newTestService(t, Config{Workers: 2})
+	for _, c := range []struct{ req, want int }{{0, 2}, {1, 1}, {1 << 20, 2}} {
+		plan, err := svc.PlanSweep(SweepRequest{Workloads: []string{"intruder"}, Machines: []string{"Haswell"}, Workers: c.req})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Workers != c.want {
+			t.Errorf("request for %d workers planned %d, want %d", c.req, plan.Workers, c.want)
+		}
 	}
 }
 

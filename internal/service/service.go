@@ -20,9 +20,10 @@ type Config struct {
 	// internal/store cache there, so repeated requests across processes
 	// replay measurements instead of re-simulating.
 	CacheDir string
-	// Workers bounds concurrent simulations service-wide and is the default
-	// worker count of each prediction's fitting/bootstrap pools. 0 means
-	// NumCPU.
+	// Workers bounds concurrent simulations service-wide and the worker
+	// pool of each sweep or explore (a request may ask for fewer), and is
+	// the default worker count of each prediction's fitting/bootstrap
+	// pools. 0 means NumCPU.
 	Workers int
 	// CollectSample overrides the per-sample measurement collector; tests
 	// stub it. nil means sim.Collect.
@@ -43,10 +44,10 @@ type Service struct {
 	// repeat requests; persistence is the store's job, so it is bounded.
 	memo *flight.Group[store.SampleKey, memoSample]
 	// fits is the sweep planner's fitted-model memo; see planner.go.
-	fits *flight.Group[string, fitResult]
+	fits *flight.Group[FitKey, fitResult]
 	// fitHook, when set (by tests, before first use), observes every fit
 	// computation as it starts.
-	fitHook func(artifactKey string)
+	fitHook func(FitKey)
 }
 
 // memoSample is one sample memo value: the sample, and whether it was
@@ -72,7 +73,7 @@ func New(cfg Config) (*Service, error) {
 		cfg:  cfg,
 		sem:  make(chan struct{}, cfg.Workers),
 		memo: flight.New[store.SampleKey, memoSample](memoLimit),
-		fits: flight.New[string, fitResult](DefaultFitCacheSize),
+		fits: flight.New[FitKey, fitResult](DefaultFitCacheSize),
 	}
 	if cfg.CacheDir != "" {
 		st, err := store.Open(cfg.CacheDir)
@@ -101,15 +102,6 @@ func resolve(workload, mach string) (sim.Workload, *machine.Config, error) {
 		return nil, nil, &BadRequestError{Err: err}
 	}
 	return w, m, nil
-}
-
-// seriesKey is the store key of the contiguous 1..maxCores window, the
-// measurement identity behind the planner's fit memo.
-//
-//estima:canonical workload mach
-func seriesKey(workload, mach string, maxCores int, scale float64) store.Key {
-	return store.Key{Workload: workload, Machine: mach, MaxCores: maxCores,
-		Scale: scale, Engine: sim.EngineVersion}
 }
 
 // memoLimit bounds the sample memo (entries): as many samples as 256

@@ -13,12 +13,13 @@ import (
 
 // TestCanonicalFormKeyStability pins the one-identity rule of the spec
 // layer: a bare name, its all-defaults spec and a permuted/reformatted spec
-// of the same scenario resolve to identical store keys and fit-cache
-// fingerprints — a warm cache written before the spec layer existed keeps
-// answering, and equivalent spellings share every memo.
+// of the same scenario resolve to identical fit keys, whose names are also
+// the store's sample keys — a warm cache written before the spec layer
+// existed keeps answering, and equivalent spellings share every memo.
 func TestCanonicalFormKeyStability(t *testing.T) {
-	targets := sim.CoreRange(4)
+	targets := joinTargets(sim.CoreRange(4))
 	opt, _ := core.Options{Workers: 1}.Fingerprint()
+	key := func(workload, mach string) FitKey { return fitKey(workload, mach, 4, 1, opt, targets) }
 
 	equivalent := map[string][]string{
 		"memcached": {
@@ -33,7 +34,7 @@ func TestCanonicalFormKeyStability(t *testing.T) {
 		},
 	}
 	for canonical, spellings := range equivalent {
-		var firstKey, firstFit string
+		var first FitKey
 		for i, s := range spellings {
 			w, err := workloads.Lookup(s)
 			if err != nil {
@@ -42,17 +43,13 @@ func TestCanonicalFormKeyStability(t *testing.T) {
 			if w.Name() != canonical {
 				t.Errorf("Lookup(%q).Name() = %q, want %q", s, w.Name(), canonical)
 			}
-			sk := seriesKey(w.Name(), "Haswell", 4, 1)
-			fit := artifactKey(sk, targets, opt)
+			k := key(w.Name(), "Haswell")
 			if i == 0 {
-				firstKey, firstFit = sk.Hash(), fit
+				first = k
 				continue
 			}
-			if sk.Hash() != firstKey {
-				t.Errorf("store key of %q differs from %q", s, spellings[0])
-			}
-			if fit != firstFit {
-				t.Errorf("fit fingerprint of %q differs from %q", s, spellings[0])
+			if k != first {
+				t.Errorf("fit key of %q differs from %q", s, spellings[0])
 			}
 		}
 	}
@@ -64,13 +61,8 @@ func TestCanonicalFormKeyStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bk := seriesKey(base.Name(), "Haswell", 4, 1)
-	vk := seriesKey(varied.Name(), "Haswell", 4, 1)
-	if bk.Hash() == vk.Hash() {
-		t.Error("variant shares the default's store key")
-	}
-	if artifactKey(bk, targets, opt) == artifactKey(vk, targets, opt) {
-		t.Error("variant shares the default's fit fingerprint")
+	if key(base.Name(), "Haswell") == key(varied.Name(), "Haswell") {
+		t.Error("variant shares the default's fit key")
 	}
 
 	// The machine side obeys the same rule.
@@ -85,17 +77,15 @@ func TestCanonicalFormKeyStability(t *testing.T) {
 	if m1.Name != m2.Name {
 		t.Errorf("all-defaults machine spec canonicalizes to %q, want %q", m2.Name, m1.Name)
 	}
-	k1 := seriesKey("intruder", m1.Name, 4, 1)
-	k2 := seriesKey("intruder", m2.Name, 4, 1)
-	if k1.Hash() != k2.Hash() {
+	if key("intruder", m1.Name) != key("intruder", m2.Name) {
 		t.Error("all-defaults machine spec keys differently from the preset")
 	}
 	mo, err := machine.Lookup("Xeon20?membw=0.8")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seriesKey("intruder", mo.Name, 4, 1).Hash() == k1.Hash() {
-		t.Error("overridden machine shares the preset's store key")
+	if key("intruder", mo.Name) == key("intruder", m1.Name) {
+		t.Error("overridden machine shares the preset's fit key")
 	}
 }
 

@@ -55,8 +55,9 @@ type SampleKey struct {
 // Hash returns the sample's content address: the hex SHA-256 of its
 // canonical form, which doubles as the cache file's base name.
 func (k SampleKey) Hash() string {
-	return hash(k.Workload + "\x00" + k.Machine + "\x00" + strconv.FormatFloat(k.Scale, 'g', -1, 64) +
-		"\x00" + k.Engine + "\x00" + strconv.Itoa(k.Cores))
+	sum := sha256.Sum256([]byte(k.Workload + "\x00" + k.Machine + "\x00" + strconv.FormatFloat(k.Scale, 'g', -1, 64) +
+		"\x00" + k.Engine + "\x00" + strconv.Itoa(k.Cores)))
+	return hex.EncodeToString(sum[:])
 }
 
 // Key identifies the contiguous measurement window 1..MaxCores of one
@@ -69,21 +70,9 @@ type Key struct {
 	Engine   string  `json:"engine"`
 }
 
-// Hash returns the window's content address, the hex SHA-256 of its
-// canonical form.
-func (k Key) Hash() string {
-	return hash(k.Workload + "\x00" + k.Machine + "\x00" + strconv.Itoa(k.MaxCores) +
-		"\x00" + strconv.FormatFloat(k.Scale, 'g', -1, 64) + "\x00" + k.Engine)
-}
-
 // sample returns the key of the window's sample at the given core count.
 func (k Key) sample(cores int) SampleKey {
 	return SampleKey{Workload: k.Workload, Machine: k.Machine, Scale: k.Scale, Engine: k.Engine, Cores: cores}
-}
-
-func hash(id string) string {
-	sum := sha256.Sum256([]byte(id))
-	return hex.EncodeToString(sum[:])
 }
 
 // fileJSON is the on-disk envelope of one sample: the format version, the
