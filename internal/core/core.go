@@ -235,17 +235,6 @@ func RelativeBandWidth(time, lo, hi float64) float64 {
 	return (hi - lo) / time
 }
 
-// RelativeBandWidth is the relative band width at the prediction's largest
-// target core count — the extrapolation's far end, where uncertainty is
-// widest and the scaling verdict is made. 0 without a bootstrap band.
-func (p *Prediction) RelativeBandWidth() float64 {
-	n := len(p.Time)
-	if n == 0 || len(p.TimeLo) != n || len(p.TimeHi) != n {
-		return 0
-	}
-	return RelativeBandWidth(p.Time[n-1], p.TimeLo[n-1], p.TimeHi[n-1])
-}
-
 // TimeAt returns the predicted time at the given core count.
 func (p *Prediction) TimeAt(cores int) (float64, error) {
 	for i, c := range p.TargetCores {

@@ -166,17 +166,6 @@ func TestSelectByCorrelationBadInput(t *testing.T) {
 	}
 }
 
-func TestKernelByName(t *testing.T) {
-	for _, k := range AllKernels {
-		if got := KernelByName(k.Name); got != k {
-			t.Errorf("KernelByName(%q) = %v", k.Name, got)
-		}
-	}
-	if KernelByName("nope") != nil {
-		t.Error("unknown kernel should be nil")
-	}
-}
-
 func TestKernelEvalSanity(t *testing.T) {
 	// Every kernel with all-zero-ish params must evaluate finitely at
 	// ordinary core counts.

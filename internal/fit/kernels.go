@@ -188,16 +188,6 @@ var Linear = &Kernel{
 // AllKernels is the full Table 1 library in the paper's order.
 var AllKernels = []*Kernel{Rat22, Rat23, Rat33, CubicLn, ExpRat, Poly25}
 
-// KernelByName returns the kernel with the given name, or nil.
-func KernelByName(name string) *Kernel {
-	for _, k := range AllKernels {
-		if k.Name == name {
-			return k
-		}
-	}
-	return nil
-}
-
 // ratStarts builds a Starts function for a rational kernel with nNum
 // numerator coefficients and nDen denominator coefficients (excluding the
 // constant 1). The primary start seeds the numerator with a polynomial

@@ -116,16 +116,6 @@ func (c *cacheArray) fillAt(i uint64, line uint64, ver uint32) {
 	c.ents[i] = cacheEnt{combo: c.epoch | line, ver: ver}
 }
 
-// probe reports whether the cache holds line at the given coherence version.
-func (c *cacheArray) probe(line uint64, ver uint32) bool {
-	return c.hitAt(c.slot(line), line, ver)
-}
-
-// fill installs line at the given version.
-func (c *cacheArray) fill(line uint64, ver uint32) {
-	c.fillAt(c.slot(line), line, ver)
-}
-
 // dirEntry is the coherence-directory state of one shared cache line. The
 // zero value means clean, unlocked and unshared, so a directory page resets
 // with one clear: writer and lock owner are stored +1 (0 = none).

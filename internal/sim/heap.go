@@ -81,15 +81,6 @@ func (h *Heap) Alloc(name string, size uint64, shared bool, homeChip int) Region
 	return r
 }
 
-// Region returns the region containing addr.
-func (h *Heap) Region(addr uint64) *Region {
-	id := int(addr>>regionShift) - 1
-	if id < 0 || id >= len(h.regions) {
-		return nil
-	}
-	return &h.regions[id]
-}
-
 // Footprint returns the total allocated bytes.
 func (h *Heap) Footprint() uint64 {
 	var total uint64
@@ -97,13 +88,4 @@ func (h *Heap) Footprint() uint64 {
 		total += r.Size
 	}
 	return total
-}
-
-// Regions returns the region table.
-func (h *Heap) Regions() []Region {
-	return h.regions
-}
-
-func (h *Heap) String() string {
-	return fmt.Sprintf("heap(%d regions, %d bytes)", len(h.regions), h.Footprint())
 }

@@ -320,8 +320,3 @@ func (p *ProgBuilder) TxBegin() *ProgBuilder {
 func (p *ProgBuilder) TxEnd() *ProgBuilder {
 	return p.push(Op{Kind: OpTxEnd})
 }
-
-// Len returns the number of operations appended so far.
-func (p *ProgBuilder) Len() int {
-	return len(*p.prog)
-}
