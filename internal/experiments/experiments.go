@@ -194,8 +194,7 @@ func (e *env) scored(workload string, m *machine.Config, measCores int, opt core
 
 // perName computes one row per name over one worker pool and returns the
 // rows in name order, or the first failure in name order, prefixed with
-// that name. The service CPU gate bounds the fitting work, so rows fan out
-// freely without oversubscribing the machine.
+// that name.
 func perName[R any](names []string, row func(name string) (R, error)) ([]R, error) {
 	rows := make([]R, len(names))
 	errs := make([]error, len(names))

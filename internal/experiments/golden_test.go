@@ -35,9 +35,6 @@ func TestExperimentGoldens(t *testing.T) {
 		}
 		path := filepath.Join("testdata", id+".golden")
 		if *update {
-			if err := os.MkdirAll("testdata", 0o755); err != nil {
-				t.Fatal(err)
-			}
 			if err := os.WriteFile(path, []byte(res.Text), 0o644); err != nil {
 				t.Fatal(err)
 			}

@@ -102,9 +102,9 @@ func correlationOf(e *env, name string, m *machine.Config, includeFrontend bool)
 	return stats.Pearson(spc, s.Times())
 }
 
-// correlationTable renders Table 5 or 6: value of every benchmark on the
-// full Opteron, Xeon20 and Xeon48, to two decimals, with the given summary
-// rows under them.
+// correlationTable renders Table 5 or 6: one value per benchmark on each
+// full machine (Opteron, Xeon20, Xeon48), to two decimals, with the given
+// summary rows under them.
 func correlationTable(e *env, title string, value func(name string, m *machine.Config) (float64, error), summaries ...summary) (*Result, error) {
 	machines := []*machine.Config{machine.Opteron(), machine.Xeon20(), machine.Xeon48()}
 	names := workloads.Table4Names()
