@@ -70,6 +70,66 @@ func BenchmarkAccess(b *testing.B) {
 	})
 }
 
+// BenchmarkStep measures whole runs of 20 Xeon20 threads through the
+// scheduler, where step prefetches the state of the op lookahead ahead.
+// random-shared makes single loads and stores to random lines of a shared
+// region whose directory pages and tag slots far exceed the host's private
+// caches, so every access's state is a host miss the prefetch can hide.
+// sequential walks 64-line runs, whose consecutive slots the host already
+// streams: there a hint buys nothing, and its one call per run is all it
+// costs.
+func BenchmarkStep(b *testing.B) {
+	mach, err := machine.Lookup("Xeon20")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		progs func(bd *Builder)
+	}{
+		{"random-shared", func(bd *Builder) {
+			shared := bd.Heap.Alloc("bench.shared", 1<<26, true, Interleaved)
+			r := newRNG(1)
+			lines := int(shared.Size / lineBytes)
+			for t := 0; t < bd.Threads; t++ {
+				p := bd.Thread(t)
+				for i := 0; i < 4096; i++ {
+					addr := shared.Addr(uint64(r.intn(lines)) * lineBytes)
+					if i%4 == 0 {
+						p.Store(addr)
+					} else {
+						p.Load(addr)
+					}
+				}
+			}
+		}},
+		{"sequential", func(bd *Builder) {
+			shared := bd.Heap.Alloc("bench.shared", 1<<26, true, Interleaved)
+			for t := 0; t < bd.Threads; t++ {
+				p := bd.Thread(t)
+				for i := 0; i < 256; i++ {
+					p.MemRun(shared.Addr(uint64(t)<<21+uint64(i)<<12), 64, lineBytes, i%4 == 0)
+				}
+			}
+		}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			bd := NewBuilder(mach, 20, 1, 42)
+			c.progs(bd)
+			var e Engine
+			e.reset(bd)
+			e.run()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.reset(bd)
+				e.run()
+			}
+		})
+	}
+}
+
 // benchProgs builds a small mixed workload — compute, private and shared
 // memory traffic, a contended spinlock and a closing barrier — exercising
 // every scheduler path run() has.

@@ -104,12 +104,6 @@ func (c *cacheArray) enableFastmod(maxLine uint64) {
 	c.magic = ^uint64(0)/d + 1
 }
 
-// hitAt reports whether slot i holds line at the given coherence version.
-func (c *cacheArray) hitAt(i uint64, line uint64, ver uint32) bool {
-	en := &c.ents[i]
-	return en.combo == c.epoch|line && en.ver >= ver
-}
-
 // fillAt installs line at the given version into slot i, evicting whatever
 // occupied it (direct-mapped).
 func (c *cacheArray) fillAt(i uint64, line uint64, ver uint32) {
