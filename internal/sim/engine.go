@@ -523,11 +523,6 @@ func (e *Engine) memRun(t *threadState, op *Op) (aborted bool) {
 	}
 	stride := int64(op.Stride)
 	sequential := stride != 0 && stride <= 2*lineBytes && stride >= -2*lineBytes
-	// Each element of a run that skips lines prefetches the next one's
-	// state. A sequential run walks consecutive slots, which the host's own
-	// prefetcher already streams, so there the hint would cost and buy
-	// nothing.
-	skipping := stride > 2*lineBytes || stride < -2*lineBytes
 	curRid := -1
 	meta := int32(-1) // packed region metadata; -1 = outside the heap
 	for i := uint32(0); i < count; {
@@ -549,9 +544,6 @@ func (e *Engine) memRun(t *threadState, op *Op) (aborted bool) {
 		}
 		if rem := count - i; span > rem {
 			span = rem
-		}
-		if skipping && i+1 < count {
-			e.prefetch(t, uint64(int64(addr)+stride)>>6)
 		}
 		if rid := int(addr >> regionShift); rid != curRid {
 			curRid = rid

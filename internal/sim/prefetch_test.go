@@ -66,10 +66,10 @@ func snapshotState(e *Engine) engineState {
 	return s
 }
 
-// prefetchAll prefetches the line of every element of every op, as step
-// and memRun would if every op came up lookahead ops ahead, plus lines no
-// program names: address 0, a line past the heap and a shared page the run
-// never touches.
+// prefetchAll prefetches the line of every element of every op, more than
+// step does (it prefetches only an op's first line), plus lines no program
+// names: address 0, a line past the heap and a shared page the run never
+// touches.
 func prefetchAll(e *Engine, extra []uint64) {
 	for _, t := range e.threads {
 		for _, op := range t.prog {
