@@ -47,9 +47,10 @@ type simBenchJSON struct {
 	TotalSeconds   float64 `json:"total_seconds"`
 	TotalOpsPerSec float64 `json:"total_ops_per_sec"`
 
-	// BaselineTotalSeconds is the same schedule's total on a reference
-	// engine (passed with -simbaseline, typically measured on the pre-rewrite
-	// seed engine on the same host); zero when no baseline was supplied.
+	// BaselineTotalSeconds is the same schedule's total on the engine as it
+	// was before the change that regenerated the file (passed with
+	// -simbaseline), measured on the same host with the two engines' runs
+	// interleaved; zero when no baseline was supplied.
 	BaselineTotalSeconds float64 `json:"baseline_total_seconds,omitempty"`
 	SpeedupVsBaseline    float64 `json:"speedup_vs_baseline,omitempty"`
 }
