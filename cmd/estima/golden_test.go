@@ -71,12 +71,6 @@ var goldenCases = []struct {
 	{"diagnose_intruder_haswell.golden", func() error {
 		return cmdDiagnose(bg, []string{"-w", "intruder", "-m", "Haswell", "-scale", "0.05"})
 	}},
-	{"bottleneck_intruder_haswell.golden", func() error {
-		return cmdBottleneck(bg, []string{"-w", "intruder", "-m", "Haswell", "-scale", "0.05"})
-	}},
-	{"bottleneck_genome_xeon20.golden", func() error {
-		return cmdBottleneck(bg, []string{"-w", "genome", "-m", "Xeon20", "-scale", "0.05", "-top", "2"})
-	}},
 	{"explore_memcached_haswell.golden", func() error {
 		return cmdExplore(bg, []string{"-w", "memcached?skew=1.5,skew=3,skew=6,setpct=0,setpct=20",
 			"-m", "Haswell", "-scale", "0.05"})

@@ -50,8 +50,6 @@ func run(ctx context.Context, args []string) int {
 		err = cmdPredict(ctx, args[1:])
 	case "sweep":
 		err = cmdSweep(ctx, args[1:])
-	case "bottleneck":
-		err = cmdBottleneck(ctx, args[1:])
 	case "diagnose":
 		err = cmdDiagnose(ctx, args[1:])
 	case "explore":
@@ -93,7 +91,6 @@ commands:
   predict     run the full ESTIMA prediction pipeline (-from replays a
               series collected with 'collect -o')
   sweep       predict the full workload x machine matrix in parallel
-  bottleneck  report predicted stall bottlenecks by code site
   diagnose    explain a scenario's predicted bottlenecks: category shares,
               crossover points, the scaling killer, and a relief knob
   explore     cover a workload parameter region with a budgeted fraction of

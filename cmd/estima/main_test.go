@@ -68,11 +68,11 @@ func TestRunExitCodes(t *testing.T) {
 		{"predict non-finite ci", []string{"predict", "-w", "genome", "-m", "Haswell", "-scale", "0.05", "-boot", "10", "-ci", "NaN"}, 1, "-ci NaN out of range (0, 100)"},
 		{"sweep non-finite ci", []string{"sweep", "-w", "genome", "-m", "Haswell", "-scale", "0.05", "-boot", "5", "-ci", "NaN"}, 1, "-ci NaN out of range (0, 100)"},
 		{"sweep non-finite scale", []string{"sweep", "-w", "genome", "-m", "Haswell", "-scale", "NaN"}, 1, "non-finite scale NaN"},
-		{"bottleneck non-finite scale", []string{"bottleneck", "-w", "intruder", "-m", "Haswell", "-scale", "NaN"}, 1, "non-finite scale NaN"},
+		{"diagnose non-finite scale", []string{"diagnose", "-w", "intruder", "-m", "Haswell", "-scale", "NaN"}, 1, "non-finite scale NaN"},
 		{"predict scale above limit", []string{"predict", "-w", "intruder", "-m", "Haswell", "-scale", "9"}, 1, "scale 9 above the limit of 8"},
 		{"compared predict scale above limit", []string{"predict", "-w", "intruder", "-m", "Haswell", "-scale", "0.05", "-datascale", "200"}, 1, "comparing at scale × data scale: scale 10 above the limit of 8"},
 		{"sweep scale above limit", []string{"sweep", "-w", "genome", "-m", "Haswell", "-scale", "9"}, 1, "scale 9 above the limit of 8"},
-		{"bottleneck cores beyond machine", []string{"bottleneck", "-w", "intruder", "-m", "Haswell", "-meascores", "99"}, 1, `core range "1-99" exceeds the machine's 4 cores`},
+		{"diagnose cores beyond machine", []string{"diagnose", "-w", "intruder", "-m", "Haswell", "-meascores", "99"}, 1, `core range "1-99" exceeds the machine's 4 cores`},
 		{"success", []string{"list"}, 0, ""},
 		{"help", []string{"help"}, 0, ""},
 	}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/report"
 	"repro/internal/service"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workloads"
 )
@@ -191,55 +190,4 @@ func renderPredictTable(resp *service.PredictResponse, actual []float64) {
 		tbl.AddRow(row...)
 	}
 	fmt.Print(tbl.Render())
-}
-
-// cmdBottleneck reports the predicted dominant stall categories and their
-// code sites (paper §4.6). It measures through the service, which validates
-// the names, cores and scale and memoizes the samples, and runs the core
-// pipeline on the decoded series, since it needs the raw Prediction.
-func cmdBottleneck(ctx context.Context, args []string) error {
-	fs := newFlagSet("bottleneck")
-	workload := fs.String("w", "", "workload name")
-	measMach := fs.String("m", "Opteron", "measurement machine")
-	measCores := fs.Int("meascores", 0, "cores to measure on (default: one processor)")
-	scale := fs.Float64("scale", 1, "dataset scale")
-	topN := fs.Int("top", 3, "sites per category")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	mm, err := machine.Lookup(*measMach)
-	if err != nil {
-		return err
-	}
-	*measCores = mm.WindowCores(*measCores)
-	svc, err := newService("", 0)
-	if err != nil {
-		return err
-	}
-	resp, err := svc.Collect(ctx, service.CollectRequest{
-		Workload: *workload,
-		Machine:  *measMach,
-		Cores:    fmt.Sprintf("1-%d", *measCores),
-		Scale:    *scale,
-	})
-	if err != nil {
-		return err
-	}
-	measured := resp.Decoded
-	pred, err := core.PredictContext(ctx, measured, sim.CoreRange(mm.NumCores()), core.Options{UseSoftware: true})
-	if err != nil {
-		return err
-	}
-	bns, err := pred.Bottlenecks(measured, *topN)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("predicted stall categories at %d cores (measured on %d):\n", mm.NumCores(), *measCores)
-	for _, b := range bns {
-		fmt.Printf("  %-14s %6.1f%% of stalls  growth %5.1fx\n", b.Category, 100*b.ShareOfTotal, b.Growth)
-		for _, s := range b.TopSites {
-			fmt.Printf("      %5.1f%%  %s\n", 100*s.Share, s.Site)
-		}
-	}
-	return nil
 }

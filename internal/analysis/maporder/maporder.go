@@ -1,14 +1,16 @@
 // Package maporder flags map iteration whose order can leak into output.
 // Go randomizes map iteration order on purpose; any range over a map that
-// writes to an encoder, string builder or hash, or that collects into a
-// slice which is never sorted afterwards, produces byte-different output
-// from run to run — exactly what ESTIMA's golden files and content-hash
-// cache keys cannot tolerate. The blessed idiom is collect-keys-then-sort
-// (see counters.sortedSum); the analyzer recognizes it and stays quiet.
+// writes to an encoder, string builder or hash, that collects into a
+// slice which is never sorted afterwards, or that accumulates a float
+// declared outside the loop, produces byte-different output from run to
+// run — exactly what ESTIMA's golden files and content-hash cache keys
+// cannot tolerate. The blessed idiom is collect-keys-then-sort (see
+// counters.sortedSum); the analyzer recognizes it and stays quiet.
 package maporder
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 
 	"repro/internal/analysis"
@@ -16,8 +18,8 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "maporder",
-	Doc: "flag range-over-map bodies that write to encoders/builders/hashes " +
-		"or collect into slices never sorted afterwards",
+	Doc: "flag range-over-map bodies that write to encoders/builders/hashes, " +
+		"collect into slices never sorted afterwards, or accumulate floats",
 	Run: run,
 }
 
@@ -75,6 +77,7 @@ func checkMapRange(pass *analysis.Pass, rng *ast.RangeStmt, funcBody *ast.BlockS
 			checkSinkCall(pass, n)
 		case *ast.AssignStmt:
 			checkAppend(pass, n, rng, funcBody)
+			checkFloatAccum(pass, n, rng)
 		}
 		return true
 	})
@@ -118,21 +121,45 @@ func checkAppend(pass *analysis.Pass, assign *ast.AssignStmt, rng *ast.RangeStmt
 		return
 	}
 	lhs, ok := assign.Lhs[0].(*ast.Ident)
-	if !ok {
-		return
-	}
-	obj := pass.TypesInfo.ObjectOf(lhs)
-	if obj == nil || obj.Pos() == 0 {
-		return
-	}
 	// Only slices that outlive the loop can leak its order.
-	if obj.Pos() >= rng.Pos() && obj.Pos() <= rng.End() {
-		return
-	}
-	if sortedAfter(pass, funcBody, rng, obj) {
+	if !ok || !outlives(pass, lhs, rng) || sortedAfter(pass, funcBody, rng, pass.TypesInfo.ObjectOf(lhs)) {
 		return
 	}
 	pass.ReportRangef(assign, "%s collects in map-iteration order and is never sorted afterwards", lhs.Name)
+}
+
+// checkFloatAccum flags `x += v` (or -=, *=) on a float declared outside
+// the range statement (x, or the x of x.f or x[i]). Float arithmetic is not
+// associative, so the total depends on the map's iteration order at the
+// last bit.
+func checkFloatAccum(pass *analysis.Pass, assign *ast.AssignStmt, rng *ast.RangeStmt) {
+	if assign.Tok != token.ADD_ASSIGN && assign.Tok != token.SUB_ASSIGN && assign.Tok != token.MUL_ASSIGN {
+		return
+	}
+	t := pass.TypesInfo.TypeOf(assign.Lhs[0])
+	if t == nil {
+		return
+	}
+	if b, ok := t.Underlying().(*types.Basic); !ok || b.Info()&types.IsFloat == 0 {
+		return
+	}
+	var root *ast.Ident
+	ast.Inspect(assign.Lhs[0], func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && root == nil {
+			root = id
+		}
+		return root == nil
+	})
+	if root != nil && outlives(pass, root, rng) {
+		pass.ReportRangef(assign, "%s accumulates a float in map-iteration order, so its last bits differ from run to run (sum over sorted keys)", root.Name)
+	}
+}
+
+// outlives reports whether id is a variable declared outside the range
+// statement, so that what the loop leaves in it survives the loop.
+func outlives(pass *analysis.Pass, id *ast.Ident, rng *ast.RangeStmt) bool {
+	obj := pass.TypesInfo.ObjectOf(id)
+	return obj != nil && obj.Pos() != 0 && (obj.Pos() < rng.Pos() || obj.Pos() > rng.End())
 }
 
 // sortedAfter reports whether, after the range statement, the function

@@ -69,3 +69,57 @@ func Allowed(m map[string]int) []string {
 	}
 	return keys
 }
+
+func FloatSum(m map[string]float64) float64 {
+	total := 0.0
+	for _, v := range m {
+		total += v // want `total accumulates a float in map-iteration order`
+	}
+	return total
+}
+
+type stats struct{ spent float32 }
+
+func FieldAndProduct(m map[string]float32, s *stats) float32 {
+	prod := float32(1)
+	for _, v := range m {
+		s.spent -= v // want `s accumulates a float in map-iteration order`
+		prod *= v    // want `prod accumulates a float in map-iteration order`
+	}
+	return prod
+}
+
+func IntSum(m map[string]int) int {
+	n := 0
+	for _, v := range m {
+		n += v
+	}
+	return n
+}
+
+func SortedKeysSum(m map[string]float64) float64 {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	total := 0.0
+	for _, k := range keys {
+		total += m[k]
+	}
+	return total
+}
+
+func LoopLocalSum(m map[string][]float64) float64 {
+	best := 0.0
+	for _, vals := range m {
+		sum := 0.0
+		for _, v := range vals {
+			sum += v
+		}
+		if sum > best {
+			best = sum
+		}
+	}
+	return best
+}

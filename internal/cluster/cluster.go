@@ -418,7 +418,7 @@ func (c *Coordinator) runCell(ctx context.Context, pc *service.PlannedCell) serv
 		return cell
 	}
 	cell, err := c.cellFlights.Do(ctx, pc.FitKey, func(ctx context.Context) (service.SweepCell, error) {
-		cell, err := c.executeCell(ctx, pc.Request)
+		cell, err := c.executeCell(ctx, pc)
 		if err == nil && cell.Error != "" {
 			err = errCellFailed
 		}
@@ -431,12 +431,16 @@ func (c *Coordinator) runCell(ctx context.Context, pc *service.PlannedCell) serv
 	return cell
 }
 
-// executeCell runs one CellRequest against the fleet: route along the
-// ring, decode the worker's cell, or — when no worker can answer — execute
-// on the embedded local service (cold, correct, slower). Decoded-then-
-// re-encoded cells are byte-stable: encoding/json round-trips every float64
-// to the identical shortest representation.
-func (c *Coordinator) executeCell(ctx context.Context, req service.CellRequest) (service.SweepCell, error) {
+// executeCell runs one planned cell against the fleet: route its request
+// along the ring, decode the worker's cell, or — when no worker answers
+// 200 — run it on the embedded local service (cold, correct, slower)
+// exactly as a single process would. A worker rejects a cell whose window
+// exceeds its machine with a 400, but inside a sweep that cell must fail on
+// its own, with the single process's bytes. Decoded-then-re-encoded cells
+// are byte-stable: encoding/json round-trips every float64 to the identical
+// shortest representation.
+func (c *Coordinator) executeCell(ctx context.Context, pc *service.PlannedCell) (service.SweepCell, error) {
+	req := pc.Request
 	body, err := json.Marshal(req)
 	if err != nil {
 		return service.SweepCell{}, err
@@ -453,9 +457,5 @@ func (c *Coordinator) executeCell(ctx context.Context, req service.CellRequest) 
 		// instead of burning a local simulation nobody will read.
 		return service.SweepCell{}, err
 	}
-	cr, err := c.cfg.Local.Cell(ctx, req)
-	if err != nil {
-		return service.SweepCell{}, err
-	}
-	return cr.Cell, nil
+	return c.cfg.Local.RunCell(ctx, pc), nil
 }

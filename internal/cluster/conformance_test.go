@@ -274,6 +274,9 @@ func TestValidationBytesMatchSingleProcess(t *testing.T) {
 		{"diagnose bad checkpoints", "/v1/diagnose", `{"workload":"intruder","machine":"Haswell","checkpoints":-2}`, http.StatusBadRequest},
 		{"collect core listed twice", "/v1/collect", `{"workload":"intruder","machine":"Haswell","cores":"1-4,1-4"}`, http.StatusBadRequest},
 		{"curve core listed twice", "/v1/curve", `{"workload":"intruder","machine":"Haswell","cores":"1,3,2-3"}`, http.StatusBadRequest},
+		{"predict window beyond machine", "/v1/predict", `{"workload":"intruder","machine":"Haswell","meas_cores":99}`, http.StatusBadRequest},
+		{"diagnose window beyond machine", "/v1/diagnose", `{"workload":"intruder","machine":"Haswell","meas_cores":99}`, http.StatusBadRequest},
+		{"cell window beyond machine", "/v1/cell", `{"workload":"intruder","machine":"Haswell","meas_cores":99}`, http.StatusBadRequest},
 		{"predict scale above limit", "/v1/predict", `{"workload":"intruder","machine":"Haswell","scale":9}`, http.StatusBadRequest},
 		{"compared predict scale above limit", "/v1/predict", `{"workload":"intruder","machine":"Haswell","scale":0.05,"data_scale":200,"compare":true}`, http.StatusBadRequest},
 		{"sweep scale above limit", "/v1/sweep", `{"workloads":["intruder"],"machines":["Haswell"],"scale":9}`, http.StatusBadRequest},
@@ -293,5 +296,35 @@ func TestValidationBytesMatchSingleProcess(t *testing.T) {
 				t.Errorf("a rejected request simulated %d samples", n)
 			}
 		})
+	}
+}
+
+// TestSweepWindowBeyondOneMachineMatchesSingleProcess: a worker answers a
+// cell whose window exceeds its machine with a 400, yet inside a sweep that
+// cell fails on its own. The coordinator runs it locally as a single
+// process does, so the sweep's bytes match and the other machine's cell
+// still predicts.
+func TestSweepWindowBeyondOneMachineMatchesSingleProcess(t *testing.T) {
+	f := newFleet(t, 2, service.Config{})
+	single, err := service.New(service.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := service.NewHandler(single, service.ServerConfig{})
+	body := `{"workloads":["intruder"],"machines":["Haswell","Xeon20"],"meas_cores":8,"scale":0.05}`
+	ss, sb := do(t, sh, http.MethodPost, "/v1/sweep", body)
+	cs, cb := do(t, f.handler, http.MethodPost, "/v1/sweep", body)
+	if ss != http.StatusOK || cs != http.StatusOK {
+		t.Fatalf("status single=%d cluster=%d, want 200", ss, cs)
+	}
+	if !bytes.Equal(sb, cb) {
+		t.Errorf("sweep bytes differ.\n--- single\n%s\n--- cluster\n%s", sb, cb)
+	}
+	var resp service.SweepResponse
+	if err := json.Unmarshal(cb, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Failures != 1 || len(resp.Cells) != 2 || resp.Cells[0].Error == "" || resp.Cells[1].Error != "" {
+		t.Errorf("want only the Haswell cell to fail: %s", cb)
 	}
 }

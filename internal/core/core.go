@@ -13,7 +13,8 @@
 //
 // The package also implements the paper's cross-machine frequency scaling
 // (§4.3), weak-scaling dataset factors (§4.5), prediction-error evaluation
-// (Table 4) and stall-source bottleneck reports (§4.6).
+// (Table 4) and the diagnosis that ranks the extrapolated stall categories
+// (§4.6); perf's code-site attribution is read from the measured samples.
 package core
 
 import (

@@ -207,43 +207,6 @@ func TestIntruderFig5EndToEnd(t *testing.T) {
 	}
 }
 
-func TestBottlenecksRankAndAttribute(t *testing.T) {
-	m := machine.Opteron()
-	w, err := workloads.Lookup("streamcluster")
-	if err != nil {
-		t.Fatal(err)
-	}
-	measured, err := sim.CollectSeries(w, m, sim.CoreRange(12), 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred, err := Predict(measured, sim.CoreRange(48), Options{UseSoftware: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bns, err := pred.Bottlenecks(measured, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bns) == 0 {
-		t.Fatal("no bottlenecks")
-	}
-	// Ranked descending.
-	for i := 1; i < len(bns); i++ {
-		if bns[i].PredictedCycles > bns[i-1].PredictedCycles {
-			t.Error("bottlenecks not sorted")
-		}
-	}
-	// The barrier wait must rank at the top for streamcluster, and its top
-	// site must be the PARSEC barrier (the §4.6 finding).
-	if bns[0].Category != counters.SoftBarrierWait {
-		t.Errorf("top bottleneck = %s, want %s", bns[0].Category, counters.SoftBarrierWait)
-	}
-	if len(bns[0].TopSites) == 0 || bns[0].TopSites[0].Site != "pthread_mutex_trylock/barrier" {
-		t.Errorf("top site = %+v, want the pthread barrier", bns[0].TopSites)
-	}
-}
-
 func TestBandErrors(t *testing.T) {
 	full := syntheticSeries(48)
 	measured := &counters.Series{Workload: full.Workload, Machine: full.Machine,

@@ -191,7 +191,7 @@ func (p *Prediction) Diagnose() (*Diagnosis, error) {
 	for i := range d.Dominant {
 		best, bestV := "", -1.0
 		for _, cd := range d.Categories {
-			if cd.Values[i] > bestV {
+			if outranks(cd.Category, cd.Values[i], best, bestV) {
 				best, bestV = cd.Category, cd.Values[i]
 			}
 		}
@@ -231,4 +231,68 @@ func (p *Prediction) Diagnose() (*Diagnosis, error) {
 	d.KillerGrowth = killer.Growth
 	d.KillerShare = killer.Shares[last]
 	return d, nil
+}
+
+// outranks is the one ordering rule over stall categories at a target core
+// count: the larger value first, ties to the smaller name. Dominant picks
+// by it and RankAt sorts by it.
+func outranks(cat string, v float64, other string, w float64) bool {
+	if v != w {
+		return v > w
+	}
+	return cat < other
+}
+
+// RankAt returns a copy of the categories ordered by their value at the
+// i-th target core count under the rule Dominant picks by, so the first is
+// Dominant[i].
+func (d *Diagnosis) RankAt(i int) []CategoryDiagnosis {
+	out := make([]CategoryDiagnosis, len(d.Categories))
+	copy(out, d.Categories)
+	sort.Slice(out, func(a, b int) bool {
+		return outranks(out[a].Category, out[a].Values[i], out[b].Category, out[b].Values[i])
+	})
+	return out
+}
+
+// saturationTol is the knee of SaturationPoint: a later core count must cut
+// the time by more than this fraction to count as continued scaling.
+const saturationTol = 0.10
+
+// ScalingStop returns the core count at which the predicted execution time
+// saturates — the paper's "number of cores for which the application stops
+// scaling". It uses a 10% knee rather than the global minimum so that long,
+// nearly flat tails (where a fraction of a percent separates core counts)
+// do not masquerade as continued scaling.
+func (p *Prediction) ScalingStop() int {
+	return SaturationPoint(p.TargetCores, p.Time)
+}
+
+// ScalingStopOf is ScalingStop for a measured series, used to compare the
+// predicted and actual stop points.
+func ScalingStopOf(series *counters.Series) int {
+	return SaturationPoint(series.Cores(), series.Times())
+}
+
+// SaturationPoint returns the smallest core count beyond which the time
+// series never improves by more than saturationTol (fractionally) — the
+// knee where adding cores stops paying off. Unlike the global minimum it
+// is robust to long, slightly drifting tails. cores and times must be
+// parallel slices ordered by core count.
+func SaturationPoint(cores []float64, times []float64) int {
+	if len(cores) == 0 || len(cores) != len(times) {
+		return 0
+	}
+	for i := range cores {
+		bestLater := times[i]
+		for j := i + 1; j < len(times); j++ {
+			if times[j] < bestLater {
+				bestLater = times[j]
+			}
+		}
+		if bestLater > times[i]*(1-saturationTol) {
+			return int(cores[i])
+		}
+	}
+	return int(cores[len(cores)-1])
 }

@@ -40,8 +40,8 @@ func fig1(e *env) (*Result, error) {
 	for i, smp := range full.Samples {
 		tbl.AddRow(smp.Cores, report.Sec(smp.Seconds), report.Sec(tp.Time[i]))
 	}
-	actKnee := core.SaturationOf(full)
-	extKnee := core.SaturationPoint(tp.TargetCores, tp.Time, 0.10)
+	actKnee := core.ScalingStopOf(full)
+	extKnee := core.SaturationPoint(tp.TargetCores, tp.Time)
 	text := tbl.Render() + fmt.Sprintf(
 		"\nmeasured scaling saturates at %d cores; time extrapolation (%s) claims scaling continues to %d cores\n",
 		actKnee, tp.Fit, extKnee)

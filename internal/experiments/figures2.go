@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -146,7 +147,8 @@ func fig9(e *env) (*Result, error) {
 
 // fig10 reproduces Figure 10: the slowdown extrapolations for streamcluster
 // and intruder with both hardware and software stalls, plus the bottleneck
-// attribution of §4.6.
+// attribution of §4.6: the diagnosis ranks the predicted categories at 48
+// cores, and the 12-core measurement names the code sites behind them.
 func fig10(e *env) (*Result, error) {
 	var sb strings.Builder
 	for _, name := range []string{"streamcluster", "intruder"} {
@@ -166,24 +168,65 @@ func fig10(e *env) (*Result, error) {
 			tbl.AddRow(smp.Cores, report.Sec(p), report.Sec(smp.Seconds))
 		}
 		sb.WriteString(tbl.Render())
-		bns, err := pred.Bottlenecks(window(full, 12), 2)
+		d, err := pred.Diagnose()
 		if err != nil {
 			return nil, err
 		}
+		measured := window(full, 12)
+		at12 := measured.Samples[len(measured.Samples)-1]
+		last := len(d.TargetCores) - 1
 		sb.WriteString("dominant predicted stall categories at 48 cores:\n")
-		for i, b := range bns {
-			if i >= 3 {
+		for i, cd := range d.RankAt(last) {
+			v := cd.Values[last]
+			if i >= 3 || v <= 0 {
 				break
 			}
-			sb.WriteString(fmt.Sprintf("  %-14s %5.1f%% of stalls, %4.1fx growth", b.Category, 100*b.ShareOfTotal, b.Growth))
-			if len(b.TopSites) > 0 {
-				sb.WriteString(fmt.Sprintf("  top site: %s (%.0f%%)", b.TopSites[0].Site, 100*b.TopSites[0].Share))
+			growth := 0.0
+			if m := measuredCycles(at12, cd.Category); m > 0 {
+				growth = v / m
+			}
+			sb.WriteString(fmt.Sprintf("  %-14s %5.1f%% of stalls, %4.1fx growth", cd.Category, 100*cd.Shares[last], growth))
+			if site, share := topSite(at12, cd.Category); site != "" {
+				sb.WriteString(fmt.Sprintf("  top site: %s (%.0f%%)", site, 100*share))
 			}
 			sb.WriteString("\n")
 		}
 		sb.WriteString("\n")
 	}
 	return &Result{Text: sb.String()}, nil
+}
+
+// measuredCycles is a stall category's cycles in one measured sample. Event
+// codes and software names never collide, so at most one term is nonzero.
+func measuredCycles(s counters.Sample, cat string) float64 {
+	return s.HW[cat] + s.Soft[cat] + s.Frontend[cat]
+}
+
+// topSite returns the code site holding most of a category's cycles in one
+// sample (ties to the smaller site name) and its share of them, summing in
+// sorted site order so the share is the same on every run. It returns ""
+// when no site recorded the category.
+func topSite(s counters.Sample, cat string) (string, float64) {
+	sites := make([]string, 0, len(s.Sites))
+	for site := range s.Sites {
+		sites = append(sites, site)
+	}
+	sort.Strings(sites)
+	top, topV, total := "", 0.0, 0.0
+	for _, site := range sites {
+		v := s.Sites[site][cat]
+		if v <= 0 {
+			continue
+		}
+		total += v
+		if v > topV {
+			top, topV = site, v
+		}
+	}
+	if top == "" {
+		return "", 0
+	}
+	return top, topV / total
 }
 
 // fig11 reproduces Figure 11: the fixed applications. streamcluster's

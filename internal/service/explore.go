@@ -146,7 +146,7 @@ type ExploreResponse struct {
 
 // Explore answers an ExploreRequest in process.
 func (s *Service) Explore(ctx context.Context, req ExploreRequest) (*ExploreResponse, error) {
-	return s.explore(ctx, req, s.runCell)
+	return s.explore(ctx, req, s.RunCell)
 }
 
 // exploreCellState is the planner's working state for one region cell.

@@ -297,7 +297,7 @@ func (t Tier) Handler(svc *Service, cfg ServerConfig) http.Handler {
 		mode = "single"
 	}
 	if t.RunCell == nil {
-		t.RunCell = svc.runCell
+		t.RunCell = svc.RunCell
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {

@@ -188,8 +188,9 @@ type scenario struct {
 
 // resolveScenario resolves a simulate-path request: the workload and
 // machine names (with did-you-mean suggestions), the target machine ("" is
-// the measurement machine), the measurement window (see newScenario) and
-// the scale (see checkScale), in that order.
+// the measurement machine), the measurement window (see newScenario; one
+// larger than the machine is the caller's fault) and the scale (see
+// checkScale), in that order.
 func resolveScenario(workload, mach, target string, measCores int, scale float64) (scenario, error) {
 	w, m, err := resolve(workload, mach)
 	if err != nil {
@@ -198,6 +199,9 @@ func resolveScenario(workload, mach, target string, measCores int, scale float64
 	tm, err := targetMachine(target, m)
 	if err != nil {
 		return scenario{}, err
+	}
+	if n := m.WindowCores(measCores); n > m.NumCores() {
+		return scenario{}, badRequest("core range \"1-%d\" exceeds the machine's %d cores", n, m.NumCores())
 	}
 	if scale, err = checkScale(scale); err != nil {
 		return scenario{}, err
@@ -455,8 +459,10 @@ func RouteKey(workload, machine string) string {
 // Cell answers a CellRequest: exactly one sweep cell, executed through the
 // same planner path as a cell inside a sweep, so the resulting SweepCell is
 // byte-identical to the one a single-process sweep would emit. Validation
-// mirrors PlanSweep's option checks; execution failures are recorded in the
-// cell, not returned (the coordinator merges them into streams).
+// mirrors PlanSweep's option checks and also rejects a window beyond the
+// machine, which a sweep records in that cell instead; execution failures
+// are recorded in the cell, not returned (the coordinator merges them into
+// streams).
 func (s *Service) Cell(ctx context.Context, req CellRequest) (*CellResponse, error) {
 	if err := checkVersion(req.APIVersion); err != nil {
 		return nil, err
@@ -469,15 +475,17 @@ func (s *Service) Cell(ctx context.Context, req CellRequest) (*CellResponse, err
 		return nil, err
 	}
 	pc := planCell(sc, req)
-	cell := s.runCell(ctx, &pc)
+	cell := s.RunCell(ctx, &pc)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return &CellResponse{APIVersion: APIVersion, Cell: cell}, nil
 }
 
-// runCell is the service's own CellRunner: one cell through the planner.
-func (s *Service) runCell(ctx context.Context, pc *PlannedCell) SweepCell {
+// RunCell is the service's own CellRunner: one planned cell through the
+// planner. It leaves validation to the plan, so a window beyond the
+// machine fails inside the cell, as in a sweep, where Cell answers 400.
+func (s *Service) RunCell(ctx context.Context, pc *PlannedCell) SweepCell {
 	r := &pc.Request
 	cell := SweepCell{
 		Workload:    r.Workload,
@@ -508,7 +516,7 @@ func (s *Service) runCell(ctx context.Context, pc *PlannedCell) SweepCell {
 // sweep and is returned. Sweep is this method buffered; the HTTP layer
 // streams it as NDJSON and the CLI as `-format ndjson`.
 func (s *Service) SweepStream(ctx context.Context, req SweepRequest, emit func(SweepCell) error) (*SweepSummary, error) {
-	return s.sweepStream(ctx, req, s.runCell, emit)
+	return s.sweepStream(ctx, req, s.RunCell, emit)
 }
 
 // sweepStream is SweepStream with each cell executed by run.

@@ -165,7 +165,7 @@ func CompareScale(scale, dataScale float64) (float64, error) {
 // index, so the response order is the deterministic workload × machine
 // order, not completion order. Sweep is SweepStream buffered.
 func (s *Service) Sweep(ctx context.Context, req SweepRequest) (*SweepResponse, error) {
-	return s.sweep(ctx, req, s.runCell)
+	return s.sweep(ctx, req, s.RunCell)
 }
 
 // sweep is Sweep with each cell executed by run.

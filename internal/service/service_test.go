@@ -102,6 +102,20 @@ func TestRequestValidation(t *testing.T) {
 			_, err := svc.Collect(bg, CollectRequest{Workload: "intruder", Machine: "Haswell", Cores: "1-2000000000"})
 			return err
 		}, "exceeds the machine's"},
+		// A measurement window beyond the machine is rejected the way a
+		// collect schedule beyond it is, before its in-range samples run.
+		{"predict window beyond machine", func() error {
+			_, err := svc.Predict(bg, PredictRequest{Workload: "intruder", Machine: "Haswell", MeasCores: 99})
+			return err
+		}, `core range "1-99" exceeds the machine's 4 cores`},
+		{"diagnose window beyond machine", func() error {
+			_, err := svc.Diagnose(bg, DiagnoseRequest{Workload: "intruder", Machine: "Haswell", MeasCores: 99})
+			return err
+		}, `core range "1-99" exceeds the machine's 4 cores`},
+		{"cell window beyond machine", func() error {
+			_, err := svc.Cell(bg, CellRequest{Workload: "intruder", Machine: "Haswell", MeasCores: 99})
+			return err
+		}, `core range "1-99" exceeds the machine's 4 cores`},
 		{"curve bad cores", func() error {
 			_, err := svc.Curve(bg, CurveRequest{Workload: "intruder", Machine: "Haswell", Cores: "x"})
 			return err
