@@ -1,4 +1,4 @@
-// Bottleneck diagnosis: a reporting layer over the finished prediction.
+// Diagnosing bottlenecks: a reporting layer over the finished prediction.
 // The pipeline already extrapolates every stall category individually
 // (Extrapolate), so explaining *why* the curve bends is pure
 // post-processing of Prediction.CategoryValues/CategoryFits — no new
@@ -16,7 +16,7 @@ import (
 	"repro/internal/machine"
 )
 
-// Bottleneck classes: the broad resource a stall category blames.
+// Classes of bottleneck: the broad resource a stall category blames.
 const (
 	ClassSync     = "sync"
 	ClassMemory   = "memory"
