@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 
@@ -50,16 +49,9 @@ func cmdDiagnose(ctx context.Context, args []string) error {
 		return err
 	}
 	if *format == "json" {
-		// Exactly the HTTP response body: MarshalIndent plus the trailing
-		// newline json.Encoder appends, so 'estima diagnose -format json'
+		// Exactly the HTTP response body, so 'estima diagnose -format json'
 		// and 'curl /v1/diagnose' are byte-identical (CI cmp's them).
-		out, err := json.MarshalIndent(resp, "", "  ")
-		if err != nil {
-			return err
-		}
-		out = append(out, '\n')
-		_, err = os.Stdout.Write(out)
-		return err
+		return service.EncodeJSON(os.Stdout, resp)
 	}
 	renderDiagnose(resp)
 	return nil

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 
@@ -60,16 +59,9 @@ func cmdExplore(ctx context.Context, args []string) error {
 		return err
 	}
 	if *format == "json" {
-		// Exactly the HTTP response body: MarshalIndent plus the trailing
-		// newline json.Encoder appends, so 'estima explore -format json'
+		// Exactly the HTTP response body, so 'estima explore -format json'
 		// and 'curl /v1/explore' are byte-identical.
-		out, err := json.MarshalIndent(resp, "", "  ")
-		if err != nil {
-			return err
-		}
-		out = append(out, '\n')
-		_, err = os.Stdout.Write(out)
-		return err
+		return service.EncodeJSON(os.Stdout, resp)
 	}
 	renderExplore(resp)
 	if resp.Failures > 0 {

@@ -94,11 +94,6 @@ type TextEdit struct {
 	NewText []byte
 }
 
-// Reportf reports a formatted diagnostic at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
 // ReportRangef reports a formatted diagnostic over node's extent.
 func (p *Pass) ReportRangef(node ast.Node, format string, args ...any) {
 	p.Report(Diagnostic{Pos: node.Pos(), End: node.End(), Message: fmt.Sprintf(format, args...)})

@@ -412,8 +412,13 @@ var errCellFailed = errors.New("cluster: cell failed")
 // artifact share one worker request, and a repeat asks none. Worker
 // failures fail over along the ring and bottom out at the local service;
 // only the caller's own cancellation surfaces as an error cell (never
-// emitted — the response aborts first).
+// emitted — the response aborts first). A cell the plan already failed
+// runs on the local service, which returns it without simulating, before
+// the memo or any worker sees it.
 func (c *Coordinator) runCell(ctx context.Context, pc *service.PlannedCell) service.SweepCell {
+	if pc.Err != nil {
+		return c.cfg.Local.RunCell(ctx, pc)
+	}
 	if cell, ok := c.cellFlights.Get(pc.FitKey); ok {
 		return cell
 	}
@@ -434,10 +439,8 @@ func (c *Coordinator) runCell(ctx context.Context, pc *service.PlannedCell) serv
 // executeCell runs one planned cell against the fleet: route its request
 // along the ring, decode the worker's cell, or — when no worker answers
 // 200 — run it on the embedded local service (cold, correct, slower)
-// exactly as a single process would. A worker rejects a cell whose window
-// exceeds its machine with a 400, but inside a sweep that cell must fail on
-// its own, with the single process's bytes. Decoded-then-re-encoded cells
-// are byte-stable: encoding/json round-trips every float64 to the identical
+// exactly as a single process would. Decoded-then-re-encoded cells are
+// byte-stable: encoding/json round-trips every float64 to the identical
 // shortest representation.
 func (c *Coordinator) executeCell(ctx context.Context, pc *service.PlannedCell) (service.SweepCell, error) {
 	req := pc.Request

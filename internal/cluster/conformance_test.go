@@ -299,21 +299,36 @@ func TestValidationBytesMatchSingleProcess(t *testing.T) {
 	}
 }
 
-// TestSweepWindowBeyondOneMachineMatchesSingleProcess: a worker answers a
-// cell whose window exceeds its machine with a 400, yet inside a sweep that
-// cell fails on its own. The coordinator runs it locally as a single
-// process does, so the sweep's bytes match and the other machine's cell
-// still predicts.
+// TestSweepWindowBeyondOneMachineMatchesSingleProcess: a cell whose window
+// exceeds its machine fails at plan time, on its own, in both tiers: the
+// sweep's bytes match, the other machine's cell still predicts, the failing
+// cell simulates nothing and no worker is asked for it.
 func TestSweepWindowBeyondOneMachineMatchesSingleProcess(t *testing.T) {
-	f := newFleet(t, 2, service.Config{})
-	single, err := service.New(service.Config{})
+	var haswellSims atomic.Int64
+	counting := service.Config{CollectSample: func(w sim.Workload, m *machine.Config, cores int, scale float64) (counters.Sample, error) {
+		if m.Name == "Haswell" {
+			haswellSims.Add(1)
+		}
+		return sim.Collect(w, m, cores, scale)
+	}}
+	f := newFleet(t, 2, counting)
+	single, err := service.New(counting)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sh := service.NewHandler(single, service.ServerConfig{})
 	body := `{"workloads":["intruder"],"machines":["Haswell","Xeon20"],"meas_cores":8,"scale":0.05}`
 	ss, sb := do(t, sh, http.MethodPost, "/v1/sweep", body)
+	if n := haswellSims.Swap(0); n != 0 {
+		t.Errorf("the single process simulated %d samples for the Haswell cell, want 0", n)
+	}
 	cs, cb := do(t, f.handler, http.MethodPost, "/v1/sweep", body)
+	if n := haswellSims.Load(); n != 0 {
+		t.Errorf("the cluster simulated %d samples for the Haswell cell, want 0", n)
+	}
+	if n := f.requests(); n != 1 {
+		t.Errorf("workers served %d requests, want 1 (the Xeon20 cell)", n)
+	}
 	if ss != http.StatusOK || cs != http.StatusOK {
 		t.Fatalf("status single=%d cluster=%d, want 200", ss, cs)
 	}
@@ -324,7 +339,8 @@ func TestSweepWindowBeyondOneMachineMatchesSingleProcess(t *testing.T) {
 	if err := json.Unmarshal(cb, &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Failures != 1 || len(resp.Cells) != 2 || resp.Cells[0].Error == "" || resp.Cells[1].Error != "" {
-		t.Errorf("want only the Haswell cell to fail: %s", cb)
+	const want = `core range "1-8" exceeds the machine's 4 cores`
+	if resp.Failures != 1 || len(resp.Cells) != 2 || resp.Cells[0].Error != want || resp.Cells[1].Error != "" {
+		t.Errorf("want only the Haswell cell to fail, with %q: %s", want, cb)
 	}
 }

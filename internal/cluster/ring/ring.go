@@ -73,9 +73,6 @@ func New(nodes []string) *Ring {
 	return r
 }
 
-// Len returns the node count.
-func (r *Ring) Len() int { return len(r.nodes) }
-
 // Node returns the node string at index i (the indices Seq yields).
 func (r *Ring) Node(i int) string { return r.nodes[i] }
 

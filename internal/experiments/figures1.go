@@ -5,11 +5,9 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/fit"
 	"repro/internal/machine"
 	"repro/internal/report"
 	"repro/internal/stats"
-	"repro/internal/timex"
 )
 
 func init() {
@@ -29,7 +27,7 @@ func fig1(e *env) (*Result, error) {
 		return nil, err
 	}
 	measured := window(full, 12)
-	tp, err := timex.Extrapolate(measured, coresFrom(0, 48), fit.Options{})
+	tp, err := extrapolateTime(measured, coresFrom(0, 48))
 	if err != nil {
 		return nil, err
 	}

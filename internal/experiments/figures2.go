@@ -7,11 +7,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/counters"
-	"repro/internal/fit"
 	"repro/internal/machine"
 	"repro/internal/report"
 	"repro/internal/stats"
-	"repro/internal/timex"
 )
 
 func init() {
@@ -25,7 +23,7 @@ func init() {
 
 // opteronPrediction runs the standard Opteron scenario: measure 1..12,
 // predict 13..48.
-func opteronPrediction(e *env, name string) (pred *core.Prediction, tx *timex.Prediction, actual *counters.Series, err error) {
+func opteronPrediction(e *env, name string) (pred *core.Prediction, tx *timePrediction, actual *counters.Series, err error) {
 	m := machine.Opteron()
 	full, err := e.series(name, m, m.NumCores(), 1)
 	if err != nil {
@@ -38,7 +36,7 @@ func opteronPrediction(e *env, name string) (pred *core.Prediction, tx *timex.Pr
 	}
 	// The direct time extrapolation (the baseline ESTIMA beats) fits the
 	// measured window itself; it is cheap and stays outside the planner.
-	tx, err = timex.Extrapolate(window(full, 12), targets, fit.Options{})
+	tx, err = extrapolateTime(window(full, 12), targets)
 	if err != nil {
 		return nil, nil, nil, err
 	}

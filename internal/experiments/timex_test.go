@@ -1,14 +1,14 @@
-package timex
+package experiments
 
 import (
 	"math"
 	"testing"
 
 	"repro/internal/counters"
-	"repro/internal/fit"
 )
 
-func seriesFrom(times map[int]float64) *counters.Series {
+// timesSeries is a series of the given per-core-count times.
+func timesSeries(times map[int]float64) *counters.Series {
 	s := &counters.Series{Workload: "w", Machine: "m"}
 	for c, t := range times {
 		s.Samples = append(s.Samples, counters.Sample{Cores: c, Seconds: t})
@@ -17,14 +17,14 @@ func seriesFrom(times map[int]float64) *counters.Series {
 	return s
 }
 
-func TestExtrapolateAmdahlCurve(t *testing.T) {
+func TestExtrapolateTimeAmdahlCurve(t *testing.T) {
 	// time(p) = 0.1/p + 0.01: a clean Amdahl curve the kernels can follow.
 	times := map[int]float64{}
 	for p := 1; p <= 12; p++ {
 		times[p] = 0.1/float64(p) + 0.01
 	}
-	s := seriesFrom(times)
-	pred, err := Extrapolate(s, []int{24, 48}, fit.Options{})
+	s := timesSeries(times)
+	pred, err := extrapolateTime(s, []int{24, 48})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestExtrapolateAmdahlCurve(t *testing.T) {
 	}
 }
 
-func TestExtrapolateMissesHiddenKnee(t *testing.T) {
+func TestExtrapolateTimeMissesHiddenKnee(t *testing.T) {
 	// The kmeans failure mode (paper Fig 1): time improves through the
 	// window, collapses beyond. Direct time extrapolation predicts
 	// continued improvement.
@@ -53,8 +53,8 @@ func TestExtrapolateMissesHiddenKnee(t *testing.T) {
 	for p := 1; p <= 12; p++ {
 		measured[p] = full[p]
 	}
-	s := seriesFrom(measured)
-	pred, err := Extrapolate(s, []int{48}, fit.Options{})
+	s := timesSeries(measured)
+	pred, err := extrapolateTime(s, []int{48})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestExtrapolateMissesHiddenKnee(t *testing.T) {
 		t.Errorf("time extrapolation 'sees' the hidden knee: %v >= %v (suspicious)", pred.Time[0], full[48])
 	}
 	// And the error evaluation reports the resulting miss.
-	actual := seriesFrom(map[int]float64{48: full[48]})
+	actual := timesSeries(map[int]float64{48: full[48]})
 	maxPct, meanPct, err := pred.Errors(actual)
 	if err != nil {
 		t.Fatal(err)
@@ -72,18 +72,18 @@ func TestExtrapolateMissesHiddenKnee(t *testing.T) {
 	}
 }
 
-func TestExtrapolateBadInput(t *testing.T) {
-	s := seriesFrom(map[int]float64{1: 1, 2: 0.5, 3: 0.4})
-	if _, err := Extrapolate(&counters.Series{}, []int{4}, fit.Options{}); err == nil {
+func TestExtrapolateTimeBadInput(t *testing.T) {
+	s := timesSeries(map[int]float64{1: 1, 2: 0.5, 3: 0.4})
+	if _, err := extrapolateTime(&counters.Series{}, []int{4}); err == nil {
 		t.Error("empty series should error")
 	}
-	if _, err := Extrapolate(s, nil, fit.Options{}); err == nil {
+	if _, err := extrapolateTime(s, nil); err == nil {
 		t.Error("no targets should error")
 	}
-	if _, err := Extrapolate(s, []int{0}, fit.Options{}); err == nil {
+	if _, err := extrapolateTime(s, []int{0}); err == nil {
 		t.Error("target 0 should error")
 	}
-	p, err := Extrapolate(s, []int{6}, fit.Options{})
+	p, err := extrapolateTime(s, []int{6})
 	if err != nil {
 		t.Fatal(err)
 	}

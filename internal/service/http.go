@@ -517,7 +517,14 @@ func writeError(w http.ResponseWriter, err error) {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
+	EncodeJSON(w, v) // the response is already built; a broken pipe here is the client's problem
+}
+
+// EncodeJSON writes v to w as every endpoint encodes its body: indented by
+// two spaces, with one trailing newline. The CLI's JSON formats write
+// through it too, so they equal the HTTP bodies byte for byte.
+func EncodeJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	enc.Encode(v) // the response is already built; a broken pipe here is the client's problem
+	return enc.Encode(v)
 }

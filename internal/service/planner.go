@@ -188,9 +188,8 @@ type scenario struct {
 
 // resolveScenario resolves a simulate-path request: the workload and
 // machine names (with did-you-mean suggestions), the target machine ("" is
-// the measurement machine), the measurement window (see newScenario; one
-// larger than the machine is the caller's fault) and the scale (see
-// checkScale), in that order.
+// the measurement machine), the measurement window (see checkWindow) and
+// the scale (see checkScale), in that order.
 func resolveScenario(workload, mach, target string, measCores int, scale float64) (scenario, error) {
 	w, m, err := resolve(workload, mach)
 	if err != nil {
@@ -200,13 +199,24 @@ func resolveScenario(workload, mach, target string, measCores int, scale float64
 	if err != nil {
 		return scenario{}, err
 	}
-	if n := m.WindowCores(measCores); n > m.NumCores() {
-		return scenario{}, badRequest("core range \"1-%d\" exceeds the machine's %d cores", n, m.NumCores())
+	if err := checkWindow(m, measCores); err != nil {
+		return scenario{}, err
 	}
 	if scale, err = checkScale(scale); err != nil {
 		return scenario{}, err
 	}
 	return newScenario(w, m, tm, measCores, scale, sim.CoreRange(tm.NumCores())), nil
+}
+
+// checkWindow is the one window rule: a measurement window (see
+// newScenario) larger than the machine m is the caller's fault. A request
+// that names one scenario is answered 400; a sweep or explore records the
+// error in that machine's cells when it plans them.
+func checkWindow(m *machine.Config, measCores int) error {
+	if n := m.WindowCores(measCores); n > m.NumCores() {
+		return badRequest("core range \"1-%d\" exceeds the machine's %d cores", n, m.NumCores())
+	}
+	return nil
 }
 
 // targetMachine resolves a request's target machine: "" means the
@@ -256,6 +266,10 @@ type PlannedCell struct {
 	// (overlapping grids, possibly from different clients) can share one
 	// execution.
 	FitKey FitKey
+	// Err, when set, fails the cell at plan time (a window beyond its
+	// machine): every tier hands it to Service.RunCell, which returns the
+	// failed cell without simulating anything.
+	Err error
 
 	sc scenario
 }
@@ -393,6 +407,7 @@ func (s *Service) PlanSweep(req SweepRequest) (*PlannedSweep, error) {
 		for mi, m := range machs {
 			cell := planCell(newScenario(w, m, m, req.MeasCores, scale, machTargets[mi]), opts)
 			cell.FitKey = fitKey(plan.Workloads[wi], m.Name, cell.Request.MeasCores, scale, fingerprint, joined[mi])
+			cell.Err = checkWindow(m, req.MeasCores)
 			fitSeen[cell.FitKey] = struct{}{}
 			plan.Cells = append(plan.Cells, cell)
 		}
@@ -483,8 +498,8 @@ func (s *Service) Cell(ctx context.Context, req CellRequest) (*CellResponse, err
 }
 
 // RunCell is the service's own CellRunner: one planned cell through the
-// planner. It leaves validation to the plan, so a window beyond the
-// machine fails inside the cell, as in a sweep, where Cell answers 400.
+// planner. A cell the plan failed (see PlannedCell.Err) returns that error
+// at once, with nothing simulated; Cell answers the same window with a 400.
 func (s *Service) RunCell(ctx context.Context, pc *PlannedCell) SweepCell {
 	r := &pc.Request
 	cell := SweepCell{
@@ -492,6 +507,10 @@ func (s *Service) RunCell(ctx context.Context, pc *PlannedCell) SweepCell {
 		Machine:     r.Machine,
 		MeasCores:   r.MeasCores,
 		TargetCores: pc.sc.target.NumCores(),
+	}
+	if pc.Err != nil {
+		cell.Error = pc.Err.Error()
+		return cell
 	}
 	pred, hit, err := s.predictScenario(ctx, &pc.sc, cellOptions(*r))
 	cell.CacheHit = hit

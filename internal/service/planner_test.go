@@ -373,6 +373,45 @@ func TestSweepStreamWaitsForStartedCells(t *testing.T) {
 	}
 }
 
+// TestSweepWindowBeyondMachineFailsAtPlanTime: a sweep or explore cell
+// whose window exceeds its machine fails with the error predict answers
+// 400 with, and the collector runs for none of its samples, not even the
+// in-range ones.
+func TestSweepWindowBeyondMachineFailsAtPlanTime(t *testing.T) {
+	var sims atomic.Int64
+	svc := newTestService(t, Config{CollectSample: countingCollector(&sims)})
+	const want = `core range "1-8" exceeds the machine's 4 cores`
+	resp, err := svc.Sweep(bg, SweepRequest{Workloads: []string{"intruder"}, Machines: []string{"Haswell"}, MeasCores: 8, Scale: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Failures != 1 || len(resp.Cells) != 1 || resp.Cells[0].Error != want || resp.Cells[0].TargetCores != 4 {
+		t.Errorf("sweep cell = %+v, want it failed with %q", resp.Cells, want)
+	}
+	if n := sims.Load(); n != 0 {
+		t.Errorf("the sweep's failing cell ran the collector %d times, want 0", n)
+	}
+	ex, err := svc.Explore(bg, ExploreRequest{Workload: "memcached?skew=1.5,skew=2.5", Machine: "Haswell", MeasCores: 8, Scale: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	measured := 0
+	for _, c := range ex.Cells {
+		if c.Measured {
+			measured++
+			if c.Error != want {
+				t.Errorf("explore cell %s: error %q, want %q", c.Workload, c.Error, want)
+			}
+		}
+	}
+	if measured == 0 {
+		t.Error("the explore measured no cell")
+	}
+	if n := sims.Load(); n != 0 {
+		t.Errorf("the explore's failing cells ran the collector %d times, want 0", n)
+	}
+}
+
 // TestPlanSweepCapsWorkers: a request may narrow the service's fan-out,
 // never widen it. The test only plans, so it starts no cell goroutine.
 func TestPlanSweepCapsWorkers(t *testing.T) {

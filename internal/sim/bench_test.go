@@ -153,25 +153,43 @@ func benchProgs(b *Builder) {
 }
 
 // TestSteadyStateZeroAllocs locks in the engine's core throughput invariant:
-// once an engine has executed one run, re-resetting it onto the same built
-// workload and running again allocates nothing — caches, directory pages,
-// run queue, wait queues and tallies are all recycled. (Sampling is excluded;
-// sample() builds the result maps by design.)
+// once an engine has executed its runs, resetting it onto any of them again
+// and running allocates nothing — thread states, caches, directory pages,
+// run queue, wait queues and tallies are all recycled, whatever the order
+// of the run sizes. (Sampling is excluded; sample() builds the result maps
+// by design.)
 func TestSteadyStateZeroAllocs(t *testing.T) {
-	mach, err := machine.Lookup("Xeon20")
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name    string
+		mach    string
+		threads []int // the runs, in order, that one round resets onto
+	}{
+		{"same size", "Xeon20", []int{4}},
+		{"alternating sizes", "Opteron", []int{48, 4}},
 	}
-	b := NewBuilder(mach, 4, 1, 42)
-	benchProgs(b)
-	var e Engine
-	e.reset(b)
-	e.run()
-	avg := testing.AllocsPerRun(20, func() {
-		e.reset(b)
-		e.run()
-	})
-	if avg != 0 {
-		t.Fatalf("steady-state reset+run allocates %.1f objects per run, want 0", avg)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			mach, err := machine.Lookup(c.mach)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var bs []*Builder
+			for _, n := range c.threads {
+				b := NewBuilder(mach, n, 1, 42)
+				benchProgs(b)
+				bs = append(bs, b)
+			}
+			var e Engine
+			round := func() {
+				for _, b := range bs {
+					e.reset(b)
+					e.run()
+				}
+			}
+			round()
+			if avg := testing.AllocsPerRun(20, round); avg != 0 {
+				t.Fatalf("steady-state reset+run of %v threads allocates %.1f objects per round, want 0", c.threads, avg)
+			}
+		})
 	}
 }

@@ -34,49 +34,39 @@ type cacheArray struct {
 	pow2  bool
 }
 
-func newCacheArray(n int) *cacheArray {
-	c := &cacheArray{}
-	c.init(n)
-	return c
-}
-
-// ensure recycles the array when its geometry still matches, otherwise
-// reinitializes it.
-func (c *cacheArray) ensure(n int) {
-	if n <= 0 {
-		n = 1
-	}
+// ensure readies the array for a run with n slots whose line addresses all
+// lie below maxLine. A changed geometry reallocates the entries; otherwise
+// they are kept and emptied in O(1) by advancing the epoch, so stale
+// entries stop matching (an epoch wrap, once per 2^16 runs, falls back to a
+// full clear).
+//
+// It then picks the slot modulo: a Lemire-style fastmod when it is provably
+// exact for every line below maxLine. With magic = ceil(2^64/d) and
+// s = d - 2^64 mod d, the identity magic*n mod 2^64 = (2^64*(n mod d) + n*s)/d
+// holds whenever n*s < 2^64, and then the high word of (magic*n mod 2^64)*d
+// is exactly n mod d; s <= d-1 makes maxLine*(d-1) < 2^64 the sufficient
+// condition. maxLine comes from the run's region count, so a pathological
+// heap simply keeps the division.
+func (c *cacheArray) ensure(n int, maxLine uint64) {
+	n = max(n, 1)
 	if len(c.ents) != n {
-		c.init(n)
-		return
+		*c = cacheArray{ents: make([]cacheEnt, n), pow2: n&(n-1) == 0, mask: uint64(n - 1)}
 	}
-	c.reset()
-}
-
-func (c *cacheArray) init(n int) {
-	if n <= 0 {
-		n = 1
-	}
-	c.ents = make([]cacheEnt, n)
-	c.epoch = cacheEpoch
-	c.pow2 = n&(n-1) == 0
-	c.mask = uint64(n - 1)
-}
-
-// reset empties the array in O(1) by advancing the epoch; stale entries stop
-// matching. Epoch wrap (once per 2^16 resets) falls back to a full clear.
-func (c *cacheArray) reset() {
 	c.epoch += cacheEpoch
 	if c.epoch == 0 {
 		clear(c.ents)
 		c.epoch = cacheEpoch
 	}
+	c.magic = 0
+	if d := uint64(n); !c.pow2 && d >= 2 && maxLine <= ^uint64(0)/(d-1) {
+		c.magic = ^uint64(0)/d + 1
+	}
 }
 
 // slot returns the direct-mapped slot of a line. All preset L1/L2 sizes are
 // powers of two (one mask); LLC sizes generally are not, so their modulo is
-// strength-reduced to two multiplications when enableFastmod proved the
-// run's line addresses small enough for that to be exact.
+// strength-reduced to two multiplications when ensure proved the run's line
+// addresses small enough for that to be exact.
 func (c *cacheArray) slot(line uint64) uint64 {
 	if c.pow2 {
 		return line & c.mask
@@ -86,22 +76,6 @@ func (c *cacheArray) slot(line uint64) uint64 {
 		return hi
 	}
 	return line % uint64(len(c.ents))
-}
-
-// enableFastmod switches slot's modulo to a Lemire-style fastmod when it is
-// provably exact for every line below maxLine. With magic = ceil(2^64/d) and
-// s = d - 2^64 mod d, the identity magic*n mod 2^64 = (2^64*(n mod d) + n*s)/d
-// holds whenever n*s < 2^64, and then the high word of (magic*n mod 2^64)*d
-// is exactly n mod d; s <= d-1 makes maxLine*(d-1) < 2^64 the sufficient
-// condition. maxLine comes from the run's region count, so a pathological
-// heap simply keeps the division.
-func (c *cacheArray) enableFastmod(maxLine uint64) {
-	c.magic = 0
-	d := uint64(len(c.ents))
-	if c.pow2 || d < 2 || maxLine > ^uint64(0)/(d-1) {
-		return
-	}
-	c.magic = ^uint64(0)/d + 1
 }
 
 // fillAt installs line at the given version into slot i, evicting whatever
@@ -183,19 +157,18 @@ type directory struct {
 
 // reset recycles every touched page and resizes the region table for a heap
 // with nregions regions. Cost is proportional to the pages the previous run
-// actually touched.
+// actually touched. It clears every page table it keeps, so a table holds
+// only nils past its length and entrySlow can resize it into empty slots.
 func (d *directory) reset(nregions int) {
 	for _, pg := range d.used {
 		*pg = dirPage{}
 	}
 	d.free = append(d.free, d.used...)
 	d.used = d.used[:0]
-	for len(d.regions) < nregions {
-		d.regions = append(d.regions, nil)
-	}
-	d.regions = d.regions[:nregions]
-	for i := range d.regions {
-		d.regions[i] = d.regions[i][:0]
+	d.regions = resize(d.regions, nregions)
+	for i, pt := range d.regions {
+		clear(pt)
+		d.regions[i] = pt[:0]
 	}
 }
 
@@ -214,8 +187,8 @@ func (d *directory) entry(line uint64) *dirEntry {
 
 func (d *directory) entrySlow(rid, pi int, off uint64) *dirEntry {
 	pt := d.regions[rid]
-	for pi >= len(pt) {
-		pt = append(pt, nil)
+	if pi >= len(pt) {
+		pt = resize(pt, pi+1)
 	}
 	pg := pt[pi]
 	if pg == nil {

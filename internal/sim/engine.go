@@ -126,8 +126,8 @@ type threadState struct {
 	done  bool
 
 	// l1/l2 are the private caches, embedded by value so a probe reaches
-	// the tag arrays without an extra pointer hop; llc aliases the chip's
-	// shared cache (e.llc[chip]), hoisted off the access path.
+	// the tag arrays without an extra pointer hop; llc points at the chip's
+	// shared cache (&e.llc[chip]), hoisted off the access path.
 	l1, l2 cacheArray
 	llc    *cacheArray
 
@@ -155,8 +155,9 @@ type threadState struct {
 // Engine executes runs of built workloads on a machine. The zero value is
 // ready for reset: all of its state — thread states, cache arrays, the
 // coherence directory, wait queues, per-site tallies — is reused across
-// runs, so a series of collections allocates only on its first run and the
-// simulation loop itself is allocation-free.
+// runs, whatever the order of their sizes, so once an engine has run its
+// largest run on a machine, further runs there allocate nothing and the
+// simulation loop itself is allocation-free (TestSteadyStateZeroAllocs).
 type Engine struct {
 	mach     *machine.Config
 	b        *Builder
@@ -165,7 +166,7 @@ type Engine struct {
 	locks    []lockState
 	barriers []barrierState
 	dir      directory
-	llc      []*cacheArray
+	llc      []cacheArray
 	chipBW   []socketBW // per-chip memory-controller queues
 	snoopBW  socketBW   // machine-wide coherence arbiter queue
 	sockServ float64    // cycles per line of DRAM service
@@ -201,8 +202,9 @@ type Engine struct {
 	siteName []string
 }
 
-// reset wires the engine to a freshly built workload, reusing every piece
-// of engine state whose shape still fits.
+// reset wires the engine to a freshly built workload. Every per-run slice is
+// sized by resize, which keeps what a longer earlier run left, and every
+// record is rebuilt whole, carrying over only its buffers.
 func (e *Engine) reset(b *Builder) {
 	m := b.Mach
 	e.mach = m
@@ -215,10 +217,7 @@ func (e *Engine) reset(b *Builder) {
 
 	if e.distMach != m {
 		n := m.NumCores()
-		if cap(e.dist) < n*n {
-			e.dist = make([]uint8, n*n)
-		}
-		e.dist = e.dist[:n*n]
+		e.dist = resize(e.dist, n*n)
 		for a := 0; a < n; a++ {
 			for c := 0; c < n; c++ {
 				e.dist[a*n+c] = uint8(m.Distance(a, c))
@@ -228,22 +227,6 @@ func (e *Engine) reset(b *Builder) {
 		e.distMach = m
 	}
 
-	nch := m.NumChips()
-	for len(e.chipBW) < nch {
-		e.chipBW = append(e.chipBW, socketBW{})
-	}
-	e.chipBW = e.chipBW[:nch]
-	for i := range e.chipBW {
-		e.chipBW[i] = socketBW{}
-	}
-	for len(e.llc) < nch {
-		e.llc = append(e.llc, nil)
-	}
-	e.llc = e.llc[:nch]
-	for i := range e.llc {
-		e.llc[i] = ensureCache(e.llc[i], m.LLCLines)
-	}
-
 	// First-touch placement spreads interleaved regions over the memory
 	// controllers of the sockets whose cores the run uses.
 	perSocket := m.CoresPerChip * m.ChipsPerSocket
@@ -251,111 +234,75 @@ func (e *Engine) reset(b *Builder) {
 	e.ilvChips = uint64(sockets * m.ChipsPerSocket)
 	e.ilvMagic = ^uint64(0)/e.ilvChips + 1
 
+	// lockRegion is the heap's last allocation, so from here on the run's
+	// line addresses are bounded and the non-power-of-two cache arrays can
+	// prove their strength-reduced slot modulo exact.
 	lockRegion := b.lockRegion()
-	for len(e.locks) < len(b.locks) {
-		e.locks = append(e.locks, lockState{})
+	maxLine := uint64(len(b.Heap.regions)+1) << dirRegionBits
+
+	nch := m.NumChips()
+	e.chipBW = resize(e.chipBW, nch)
+	clear(e.chipBW)
+	e.llc = resize(e.llc, nch)
+	for i := range e.llc {
+		e.llc[i].ensure(m.LLCLines, maxLine)
 	}
-	e.locks = e.locks[:len(b.locks)]
+
+	e.locks = resize(e.locks, len(b.locks))
 	for i := range e.locks {
 		l := &e.locks[i]
-		l.kind = b.locks[i]
-		l.holder = -1
-		l.line = lockRegion.Addr(uint64(i)*lineBytes) >> 6
-		l.waiters = l.waiters[:0]
-		l.head = 0
+		*l = lockState{kind: b.locks[i], holder: -1, line: lockRegion.Addr(uint64(i)*lineBytes) >> 6,
+			waiters: l.waiters[:0]}
 	}
-	for len(e.barriers) < len(b.barriers) {
-		e.barriers = append(e.barriers, barrierState{})
-	}
-	e.barriers = e.barriers[:len(b.barriers)]
+	e.barriers = resize(e.barriers, len(b.barriers))
 	for i := range e.barriers {
 		br := &e.barriers[i]
-		br.kind = b.barriers[i]
-		br.line = lockRegion.Addr(uint64(len(b.locks)+i)*lineBytes) >> 6
-		br.arrived = br.arrived[:0]
+		*br = barrierState{kind: b.barriers[i], line: lockRegion.Addr(uint64(len(b.locks)+i)*lineBytes) >> 6,
+			arrived: br.arrived[:0]}
 	}
 
-	for len(e.threads) < b.Threads {
-		e.threads = append(e.threads, &threadState{})
-	}
-	e.threads = e.threads[:b.Threads]
+	e.threads = resize(e.threads, b.Threads)
 	for t, ts := range e.threads {
-		ts.id = t
-		ts.chip = m.Chip(t)
-		ts.clock = 0
-		ts.ip = 0
-		ts.prog = b.progs[t]
-		ts.done = false
-		ts.l1.ensure(m.L1Lines)
-		ts.l2.ensure(m.L2Lines)
-		ts.llc = e.llc[ts.chip]
-		ts.inTx = false
-		ts.txStartIP = 0
-		ts.txStartClock = 0
-		ts.txAttempts = 0
-		ts.readSet = ts.readSet[:0]
-		ts.writeSet = ts.writeSet[:0]
-		ts.storeStreak = 0
-		ts.useful = 0
-		ts.frontend = 0
-		ts.stalls = [counters.NumSources]float64{}
-		ts.soft = [numSoft]float64{}
-		ts.rng = newRNG(b.rng.state ^ uint64(t)*0x9e3779b97f4a7c15)
+		if ts == nil {
+			ts = new(threadState)
+			e.threads[t] = ts
+		}
+		chip := m.Chip(t)
+		*ts = threadState{id: t, chip: chip, prog: b.progs[t],
+			l1: ts.l1, l2: ts.l2, llc: &e.llc[chip],
+			readSet: ts.readSet[:0], writeSet: ts.writeSet[:0],
+			rng: newRNG(b.rng.state ^ uint64(t)*0x9e3779b97f4a7c15)}
+		ts.l1.ensure(m.L1Lines, maxLine)
+		ts.l2.ensure(m.L2Lines, maxLine)
 	}
 
-	ns := len(b.sites)
-	for len(e.siteHW) < ns {
-		e.siteHW = append(e.siteHW, [counters.NumSources]float64{})
-	}
-	e.siteHW = e.siteHW[:ns]
-	for i := range e.siteHW {
-		e.siteHW[i] = [counters.NumSources]float64{}
-	}
-	for len(e.siteSoft) < ns {
-		e.siteSoft = append(e.siteSoft, [numSoft]float64{})
-	}
-	e.siteSoft = e.siteSoft[:ns]
-	for i := range e.siteSoft {
-		e.siteSoft[i] = [numSoft]float64{}
-	}
+	e.siteHW = resize(e.siteHW, len(b.sites))
+	clear(e.siteHW)
+	e.siteSoft = resize(e.siteSoft, len(b.sites))
+	clear(e.siteSoft)
 	e.siteName = b.sites
 
 	e.dir.reset(len(b.Heap.regions))
 
-	// The heap is final here (lockRegion above was its last allocation), so
-	// the run's line addresses are bounded and the non-power-of-two cache
-	// arrays can prove their strength-reduced slot modulo exact.
-	maxLine := uint64(len(b.Heap.regions)+1) << dirRegionBits
-	for _, c := range e.llc {
-		c.enableFastmod(maxLine)
-	}
-	for _, ts := range e.threads {
-		ts.l1.enableFastmod(maxLine)
-		ts.l2.enableFastmod(maxLine)
-	}
-
-	e.regMeta = e.regMeta[:0]
+	e.regMeta = resize(e.regMeta, len(b.Heap.regions))
 	for i := range b.Heap.regions {
 		r := &b.Heap.regions[i]
 		meta := int32(r.HomeChip+1) << 1
 		if r.Shared {
 			meta |= 1
 		}
-		e.regMeta = append(e.regMeta, meta)
+		e.regMeta[i] = meta
 	}
 }
 
-// ensureCache recycles a cache array when its geometry still matches,
-// otherwise allocates a fresh one.
-func ensureCache(c *cacheArray, n int) *cacheArray {
-	if n <= 0 {
-		n = 1
+// resize returns s at length n. Within capacity it only re-slices, so the
+// elements a longer earlier run left are kept for their buffers to be
+// reused; past capacity it grows, and the new elements are zero.
+func resize[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
 	}
-	if c == nil || len(c.ents) != n {
-		return newCacheArray(n)
-	}
-	c.reset()
-	return c
+	return append(s[:cap(s)], make([]T, n-cap(s))...)
 }
 
 // distance returns the NUMA distance between two cores from the flattened

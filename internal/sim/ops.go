@@ -123,14 +123,11 @@ func (b *Builder) lockRegion() Region {
 // run (e.g. derived from the previous run's total): a buffer whose capacity
 // cannot hold it is reallocated empty at need plus slack, so building fills
 // it with plain appends instead of a doubling cascade of copies, while a
-// buffer already big enough is kept as is. It returns the (possibly
-// extended) scratch slice; after the run, the scratch entries alias the
-// grown programs and can be passed to the next builder.
+// buffer already big enough is kept as is. It returns scratch resized to
+// the run's threads; after the run, its entries alias the grown programs
+// and can be passed to the next builder.
 func (b *Builder) recycleProgs(scratch []Program, need int) []Program {
-	for len(scratch) < b.Threads {
-		scratch = append(scratch, nil)
-	}
-	b.progs = scratch[:b.Threads]
+	b.progs = resize(scratch, b.Threads)
 	for i := range b.progs {
 		if cap(b.progs[i]) < need {
 			b.progs[i] = make(Program, 0, need+need/4+16)
@@ -138,7 +135,7 @@ func (b *Builder) recycleProgs(scratch []Program, need int) []Program {
 			b.progs[i] = b.progs[i][:0]
 		}
 	}
-	return scratch
+	return b.progs
 }
 
 // Ops returns the total number of simulated operation elements across all

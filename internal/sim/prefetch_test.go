@@ -57,8 +57,8 @@ func snapshotState(e *Engine) engineState {
 		add(&t.l1)
 		add(&t.l2)
 	}
-	for _, c := range e.llc {
-		add(c)
+	for i := range e.llc {
+		add(&e.llc[i])
 	}
 	for _, pg := range e.dir.used {
 		s.pages = append(s.pages, *pg)
