@@ -44,8 +44,10 @@ func run() int {
 	simBench := flag.Bool("simbench", false,
 		"measure cold CollectSeries throughput of the simulation engine and write BENCH_sim.json (to -out, or the working directory)")
 	simMachine := flag.String("simmachine", "Xeon20", "machine preset the -simbench schedule runs on")
-	simBaseline := flag.Float64("simbaseline", 0,
-		"reference total seconds recorded in BENCH_sim.json as baseline_total_seconds (a prior engine's -simbench total on the same host)")
+	fitBench := flag.Bool("fitbench", false,
+		"replay the Table-4 apps' one-processor Xeon20 windows with bootstrap bands through the fit layer and write BENCH_fit.json (to -out, or the working directory)")
+	baseline := flag.Float64("baseline", 0,
+		"reference total seconds that -simbench or -fitbench records as baseline_total_seconds (a prior build's total of the same mode on the same host)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	flag.Parse()
@@ -113,7 +115,14 @@ func run() int {
 		return 0
 	}
 	if *simBench {
-		if err := runSimBench(*simMachine, *scale, *simBaseline, *outDir); err != nil {
+		if err := runSimBench(*simMachine, *scale, *baseline, *outDir); err != nil {
+			fmt.Fprintf(os.Stderr, "estima-bench: %v\n", err)
+			return 1
+		}
+		return 0
+	}
+	if *fitBench {
+		if err := runFitBench(*baseline, *outDir); err != nil {
 			fmt.Fprintf(os.Stderr, "estima-bench: %v\n", err)
 			return 1
 		}

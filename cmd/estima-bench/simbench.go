@@ -49,7 +49,7 @@ type simBenchJSON struct {
 
 	// BaselineTotalSeconds is the same schedule's total on the engine as it
 	// was before the change that regenerated the file (passed with
-	// -simbaseline), measured on the same host with the two engines' runs
+	// -baseline), measured on the same host with the two engines' runs
 	// interleaved; zero when no baseline was supplied.
 	BaselineTotalSeconds float64 `json:"baseline_total_seconds,omitempty"`
 	SpeedupVsBaseline    float64 `json:"speedup_vs_baseline,omitempty"`

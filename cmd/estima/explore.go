@@ -61,9 +61,12 @@ func cmdExplore(ctx context.Context, args []string) error {
 	if *format == "json" {
 		// Exactly the HTTP response body, so 'estima explore -format json'
 		// and 'curl /v1/explore' are byte-identical.
-		return service.EncodeJSON(os.Stdout, resp)
+		if err := service.EncodeJSON(os.Stdout, resp); err != nil {
+			return err
+		}
+	} else {
+		renderExplore(resp)
 	}
-	renderExplore(resp)
 	if resp.Failures > 0 {
 		return fmt.Errorf("%d of %d region cells failed", resp.Failures, len(resp.Cells))
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"os"
 	"strings"
@@ -41,10 +42,15 @@ func captureStderr(t *testing.T, fn func()) string {
 func TestRunExitCodes(t *testing.T) {
 	var sims atomic.Int64
 	collectSample = func(w sim.Workload, m *machine.Config, cores int, scale float64) (counters.Sample, error) {
+		// The explore region below fails at collection, simulating nothing.
+		if strings.HasPrefix(w.Name(), "memcached?skew=7.") {
+			return counters.Sample{}, errors.New("collection failed")
+		}
 		sims.Add(1)
 		return sim.Collect(w, m, cores, scale)
 	}
 	t.Cleanup(func() { collectSample = nil })
+	failedRegion := []string{"explore", "-w", "memcached?skew=7.25,skew=7.75", "-m", "Haswell", "-scale", "0.05", "-budget", "1"}
 	cases := []struct {
 		name       string
 		args       []string
@@ -73,6 +79,9 @@ func TestRunExitCodes(t *testing.T) {
 		{"compared predict scale above limit", []string{"predict", "-w", "intruder", "-m", "Haswell", "-scale", "0.05", "-datascale", "200"}, 1, "comparing at scale × data scale: scale 10 above the limit of 8"},
 		{"sweep scale above limit", []string{"sweep", "-w", "genome", "-m", "Haswell", "-scale", "9"}, 1, "scale 9 above the limit of 8"},
 		{"diagnose cores beyond machine", []string{"diagnose", "-w", "intruder", "-m", "Haswell", "-meascores", "99"}, 1, `core range "1-99" exceeds the machine's 4 cores`},
+		{"explore failed cell table", failedRegion, 1, "2 of 2 region cells failed"},
+		{"explore failed cell json", append(failedRegion, "-format", "json"), 1, "2 of 2 region cells failed"},
+		{"explore cores beyond machine", []string{"explore", "-w", "memcached?skew=1.5,skew=2.5", "-m", "Haswell", "-meascores", "8", "-scale", "0.05"}, 1, `core range "1-8" exceeds the machine's 4 cores`},
 		{"success", []string{"list"}, 0, ""},
 		{"help", []string{"help"}, 0, ""},
 	}

@@ -281,6 +281,7 @@ func TestValidationBytesMatchSingleProcess(t *testing.T) {
 		{"compared predict scale above limit", "/v1/predict", `{"workload":"intruder","machine":"Haswell","scale":0.05,"data_scale":200,"compare":true}`, http.StatusBadRequest},
 		{"sweep scale above limit", "/v1/sweep", `{"workloads":["intruder"],"machines":["Haswell"],"scale":9}`, http.StatusBadRequest},
 		{"explore scale above limit", "/v1/explore", `{"workload":"memcached?skew=1.5,skew=2.5","machine":"Haswell","scale":9}`, http.StatusBadRequest},
+		{"explore window beyond machine", "/v1/explore", `{"workload":"memcached?skew=1.5,skew=2.5","machine":"Haswell","meas_cores":8,"scale":0.05}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

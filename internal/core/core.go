@@ -198,12 +198,13 @@ func PredictContext(ctx context.Context, series *counters.Series, targetCores []
 	return NewPipeline(opt).Run(ctx, series, targetCores)
 }
 
-// approximateRelaxing runs the Figure 4 approximation, falling back to
-// lastResort if the realism filters reject every candidate.
-func approximateRelaxing(xs, ys []float64, fopt fit.Options) (*fit.Fit, error) {
-	f, err := fit.Approximate(xs, ys, fopt)
-	if err == nil {
-		return f, nil
+// bestRelaxing completes the Figure 4 approximation of (xs, ys) from its
+// finished search s: the candidate with the lowest checkpoint RMSE, or,
+// when the realism filters rejected every candidate, the best lastResort
+// fit.
+func bestRelaxing(s *fit.Search, xs, ys []float64, fopt fit.Options) (*fit.Fit, error) {
+	if cands, err := s.Candidates(); err == nil {
+		return fit.Best(cands), nil
 	}
 	return fit.Approximate(xs, ys, lastResort(fopt))
 }
@@ -211,8 +212,7 @@ func approximateRelaxing(xs, ys []float64, fopt fit.Options) (*fit.Fit, error) {
 // lastResort relaxes fit options to a linear continuation with every
 // realism filter off. Noisy small series occasionally defeat every Table 1
 // kernel's realism checks, and the tool must still produce an answer, so
-// both fitting stages (approximateRelaxing and SelectFactor) fall back to
-// it.
+// both fitting stages (bestRelaxing and SelectFactor) fall back to it.
 func lastResort(fopt fit.Options) fit.Options {
 	fopt.Kernels = []*fit.Kernel{fit.Linear}
 	fopt.MaxFitNRMSE = 1e9

@@ -64,6 +64,22 @@ func (pl *Pipeline) runIndexed(ctx context.Context, n int, fn func(i int)) error
 	return ctx.Err()
 }
 
+// searchAll runs the given candidate searches as one fan-out through
+// runIndexed, one task per search; a nil search is a task with nothing to
+// fit. Every candidate writes only its own slot, so selection over the
+// gathered candidates afterwards sees the same candidates in the same
+// order at any worker count. After a cancelled fan-out the slots may be
+// part filled: callers return the error without selecting.
+func (pl *Pipeline) searchAll(ctx context.Context, searches ...*fit.Search) error {
+	return pl.runIndexed(ctx, len(searches), func(i int) {
+		if s := searches[i]; s != nil {
+			for k := 0; k < s.Len(); k++ {
+				s.Fit(k)
+			}
+		}
+	})
+}
+
 // fitOptions is the fit configuration shared by the extrapolation and
 // factor stages; MaxX tracks the largest requested target.
 func (pl *Pipeline) fitOptions(targets []float64) fit.Options {
@@ -144,12 +160,12 @@ type Extrapolation struct {
 	measured []category
 }
 
-// Extrapolate runs step B on a measured series. Per-category fitting — one
-// fit.Approximate search per category, the dominant cost of a prediction —
-// runs across the pipeline's worker pool. Each category is fitted
-// independently, so the result is identical to the sequential order
-// regardless of worker count. Cancelling ctx aborts the fan-out and
-// returns ctx.Err().
+// Extrapolate runs step B on a measured series. The categories' candidate
+// searches — every kernel on every prefix, the dominant cost of a
+// prediction — run as one fan-out across the pipeline's worker pool, and
+// each category then selects from its gathered candidates in a fixed
+// order, so the result is identical to the sequential order regardless of
+// worker count. Cancelling ctx aborts the fan-out and returns ctx.Err().
 func (pl *Pipeline) Extrapolate(ctx context.Context, series *counters.Series, targets []float64) (*Extrapolation, error) {
 	if pl.err != nil {
 		return nil, pl.err
@@ -160,47 +176,59 @@ func (pl *Pipeline) Extrapolate(ctx context.Context, series *counters.Series, ta
 	if len(targets) == 0 {
 		return nil, errors.New("core: no target core counts")
 	}
-	xs := series.Cores()
-	fopt := pl.fitOptions(targets)
-	cats := categories(series, pl.opt)
-
-	ex := &Extrapolation{
-		Targets:  targets,
-		Fits:     map[string]*fit.Fit{},
-		Values:   map[string][]float64{},
-		measured: cats,
-	}
-	type result struct {
-		f    *fit.Fit
-		vals []float64
-		err  error
-	}
-	results := make([]result, len(cats))
-	if err := pl.runIndexed(ctx, len(cats), func(i int) {
-		if allNearZero(cats[i].ys) {
-			results[i] = result{vals: make([]float64, len(targets))}
-			return
-		}
-		f, err := approximateRelaxing(xs, cats[i].ys, fopt)
-		if err != nil {
-			results[i] = result{err: err}
-			return
-		}
-		results[i] = result{f: f, vals: evalClamped(f, targets, pl.opt.DatasetScale)}
-	}); err != nil {
+	st := pl.newStallSearch(series, targets)
+	if err := pl.searchAll(ctx, st.searches...); err != nil {
 		return nil, err
 	}
+	return pl.extrapolation(st)
+}
 
-	for i, cat := range cats {
-		r := results[i]
-		if r.err != nil {
-			return nil, fmt.Errorf("core: extrapolating %s for %s: %w", cat.name, series.Workload, r.err)
+// stallSearch is step B split around its fan-out: the stall categories in
+// stable order, each with its candidate search (nil for an all-zero
+// category, which is not fitted).
+type stallSearch struct {
+	series   *counters.Series
+	targets  []float64
+	fopt     fit.Options
+	cats     []category
+	searches []*fit.Search
+}
+
+func (pl *Pipeline) newStallSearch(series *counters.Series, targets []float64) *stallSearch {
+	st := &stallSearch{series: series, targets: targets, fopt: pl.fitOptions(targets),
+		cats: categories(series, pl.opt)}
+	xs := series.Cores()
+	st.searches = make([]*fit.Search, len(st.cats))
+	for i, cat := range st.cats {
+		if !allNearZero(cat.ys) {
+			st.searches[i] = fit.NewSearch(xs, cat.ys, st.fopt)
 		}
+	}
+	return st
+}
+
+// extrapolation selects every category's fit from its finished search, in
+// category order, so the first category that fails names the error.
+func (pl *Pipeline) extrapolation(st *stallSearch) (*Extrapolation, error) {
+	ex := &Extrapolation{
+		Targets:  st.targets,
+		Fits:     map[string]*fit.Fit{},
+		Values:   map[string][]float64{},
+		measured: st.cats,
+	}
+	xs := st.series.Cores()
+	for i, cat := range st.cats {
 		ex.Names = append(ex.Names, cat.name)
-		if r.f != nil {
-			ex.Fits[cat.name] = r.f
+		if st.searches[i] == nil {
+			ex.Values[cat.name] = make([]float64, len(st.targets))
+			continue
 		}
-		ex.Values[cat.name] = r.vals
+		f, err := bestRelaxing(st.searches[i], xs, cat.ys, st.fopt)
+		if err != nil {
+			return nil, fmt.Errorf("core: extrapolating %s for %s: %w", cat.name, st.series.Workload, err)
+		}
+		ex.Fits[cat.name] = f
+		ex.Values[cat.name] = evalClamped(f, st.targets, pl.opt.DatasetScale)
 	}
 	return ex, nil
 }
@@ -237,27 +265,60 @@ func (pl *Pipeline) Combine(ex *Extrapolation) []float64 {
 // SelectFactor runs step C: the scaling factor connecting stalls per core
 // to time. The factor is computed from the measurements, extrapolated with
 // the same kernels, and selected for maximum correlation of the produced
-// time predictions with the extrapolated stalls per core (§3.1.3).
+// time predictions with the extrapolated stalls per core (§3.1.3). Its
+// candidate search runs across the pipeline's worker pool.
 func (pl *Pipeline) SelectFactor(series *counters.Series, targets, stallsPerCore []float64) (*fit.Fit, error) {
-	xs := series.Cores()
-	times := series.Times()
+	fs, err := pl.newFactorSearch(series, targets)
+	if err != nil {
+		return nil, err
+	}
+	if err := pl.searchAll(context.Background(), fs.search); err != nil {
+		return nil, err
+	}
+	return fs.choose(series.Workload, targets, stallsPerCore)
+}
+
+// factorSearch is step C split around its fan-out: the measured factor,
+// the options its candidates are fitted and bounded with, and its
+// candidate search. The search needs only the measurements; selection
+// needs the combined stalls per core too.
+type factorSearch struct {
+	xs, factor []float64
+	fopt       fit.Options
+	search     *fit.Search
+}
+
+func (pl *Pipeline) newFactorSearch(series *counters.Series, targets []float64) (*factorSearch, error) {
 	factor, err := measuredFactor(series, pl.opt)
 	if err != nil {
 		return nil, err
 	}
-	factorOpt := pl.fitOptions(targets)
+	fopt := pl.fitOptions(targets)
 	// Sanity bounds on the produced time predictions: relative to the
 	// highest-core measurement, adding cores cannot plausibly slow the
 	// application by more than ~4x or speed it up by more than ~10x.
+	times := series.Times()
 	lastTime := times[len(times)-1]
-	factorOpt.LoBound = lastTime / 10
-	factorOpt.HiBound = lastTime * 4
-	ffit, err := fit.SelectByCorrelation(xs, factor, targets, stallsPerCore, factorOpt)
-	if err != nil {
-		ffit, err = fit.SelectByCorrelation(xs, factor, targets, stallsPerCore, lastResort(factorOpt))
+	fopt.LoBound = lastTime / 10
+	fopt.HiBound = lastTime * 4
+	xs := series.Cores()
+	return &factorSearch{xs: xs, factor: factor, fopt: fopt, search: fit.NewSearch(xs, factor, fopt)}, nil
+}
+
+// choose selects from the finished search the candidate whose produced
+// times correlate best with stallsPerCore, falling back to lastResort when
+// none qualifies.
+func (fs *factorSearch) choose(workload string, targets, stallsPerCore []float64) (*fit.Fit, error) {
+	cands, err := fs.search.Candidates()
+	var ffit *fit.Fit
+	if err == nil {
+		ffit, err = fit.SelectCorrelated(cands, targets, stallsPerCore, fs.fopt)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("core: fitting scaling factor for %s: %w", series.Workload, err)
+		ffit, err = fit.SelectByCorrelation(fs.xs, fs.factor, targets, stallsPerCore, lastResort(fs.fopt))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: fitting scaling factor for %s: %w", workload, err)
 	}
 	return ffit, nil
 }
@@ -317,8 +378,11 @@ type FitArtifact struct {
 }
 
 // Fit runs the expensive fitting stages — Extrapolate, Combine and
-// SelectFactor — and returns their result as a reusable artifact. Cancelling
-// ctx aborts the fitting worker pool and returns ctx.Err().
+// SelectFactor — and returns their result as a reusable artifact. The
+// factor's candidate search needs only the measurements, so it runs in the
+// same fan-out as the categories' searches; selection then runs stage by
+// stage, a category's error before the factor's. Cancelling ctx aborts the
+// fitting worker pool and returns ctx.Err().
 func (pl *Pipeline) Fit(ctx context.Context, series *counters.Series, targetCores []int) (*FitArtifact, error) {
 	if pl.err != nil {
 		return nil, pl.err
@@ -330,12 +394,24 @@ func (pl *Pipeline) Fit(ctx context.Context, series *counters.Series, targetCore
 	if err != nil {
 		return nil, err
 	}
-	ex, err := pl.Extrapolate(ctx, series, targets)
+	st := pl.newStallSearch(series, targets)
+	searches := st.searches
+	fs, ferr := pl.newFactorSearch(series, targets)
+	if ferr == nil {
+		searches = append(searches, fs.search)
+	}
+	if err := pl.searchAll(ctx, searches...); err != nil {
+		return nil, err
+	}
+	ex, err := pl.extrapolation(st)
 	if err != nil {
 		return nil, err
 	}
+	if ferr != nil {
+		return nil, ferr
+	}
 	spc := pl.Combine(ex)
-	ffit, err := pl.SelectFactor(series, targets, spc)
+	ffit, err := fs.choose(series.Workload, targets, spc)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -138,41 +139,90 @@ func TestPipelineStagesComposeToPredict(t *testing.T) {
 	}
 }
 
-// Parallel fitting must be bit-identical to the sequential order on the
-// fig5 scenario (intruder measured on one Opteron processor): the worker
-// count is a throughput knob, never a result knob.
+// Parallel fitting must be bit-identical to the sequential order: the
+// worker count is a throughput knob, never a result knob. Predictions at
+// 1, 2 and 8 workers must hash equal, every bit of every time, band,
+// stability score and selected fit, with and without bootstrap bands, on
+// the fig5 scenario (intruder measured on one Opteron processor) and on
+// sqlite measured on 4 Haswell cores, whose factor falls back to the
+// lastResort linear fit.
 func TestParallelFittingMatchesSerialOnFig5Scenario(t *testing.T) {
-	m := machine.Opteron()
-	w, err := workloads.Lookup("intruder")
-	if err != nil {
-		t.Fatal(err)
-	}
-	measured, err := sim.CollectSeries(w, m, sim.CoreRange(12), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var targets []int
-	for c := 13; c <= 48; c++ {
-		targets = append(targets, c)
-	}
-	serial, err := Predict(measured, targets, Options{UseSoftware: true, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := Predict(measured, targets, Options{UseSoftware: true, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial.Time, parallel.Time) {
-		t.Errorf("parallel Time differs from serial:\n%v\n%v", serial.Time, parallel.Time)
-	}
-	if !reflect.DeepEqual(serial.StallsPerCore, parallel.StallsPerCore) {
-		t.Error("parallel StallsPerCore differs from serial")
-	}
-	for name, f := range serial.CategoryFits {
-		if pf := parallel.CategoryFits[name]; pf == nil || pf.String() != f.String() {
-			t.Errorf("category %s: serial %s, parallel %v", name, f, pf)
+	collect := func(name string, m *machine.Config, cores int, scale float64) *counters.Series {
+		t.Helper()
+		w, err := workloads.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
 		}
+		s, err := sim.CollectSeries(w, m, sim.CoreRange(cores), scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	intruder := collect("intruder", machine.Opteron(), 12, 1)
+	sqlite := collect("sqlite", machine.HaswellDesktop(), 4, 0.05)
+	var fig5 []int
+	for c := 13; c <= 48; c++ {
+		fig5 = append(fig5, c)
+	}
+	for _, c := range []struct {
+		name       string
+		series     *counters.Series
+		targets    []int
+		opt        Options
+		lastResort bool
+	}{
+		{"fig5", intruder, fig5, Options{UseSoftware: true}, false},
+		{"fig5 bootstrap", intruder, fig5, Options{UseSoftware: true, Bootstrap: 40}, false},
+		{"factor last resort", sqlite, sim.CoreRange(20), Options{}, true},
+		{"factor last resort bootstrap", sqlite, sim.CoreRange(20), Options{Bootstrap: 40}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var serial string
+			for _, workers := range []int{1, 2, 8} {
+				opt := c.opt
+				opt.Workers = workers
+				p, err := Predict(c.series, c.targets, opt)
+				if err != nil {
+					t.Fatalf("%d workers: %v", workers, err)
+				}
+				if (p.FactorFit.Kernel == fit.Linear) != c.lastResort {
+					t.Fatalf("%d workers: factor fit %s; the case needs lastResort = %v", workers, p.FactorFit, c.lastResort)
+				}
+				if (p.TimeHi != nil) != (c.opt.Bootstrap > 0) {
+					t.Fatalf("%d workers: bands %v with %d bootstrap replicates", workers, p.TimeHi, c.opt.Bootstrap)
+				}
+				h := predictionHash(p)
+				if workers == 1 {
+					serial = h
+				} else if h != serial {
+					t.Errorf("%d workers: prediction hash %s, serial %s", workers, h, serial)
+				}
+			}
+		})
+	}
+}
+
+// Fit runs the factor's search in the categories' fan-out, yet reports
+// errors in stage order: a category's extrapolation error before the
+// measured factor's, and a cancelled context before either.
+func TestFitReportsErrorsInStageOrder(t *testing.T) {
+	s := syntheticSeries(12)
+	// No stalls at one core: the measured factor divides by zero there.
+	s.Samples[0].HW = map[string]float64{"A": 0, "B": 0}
+	pl := NewPipeline(Options{})
+	if _, err := pl.Fit(context.Background(), s, []int{24}); err == nil || !strings.Contains(err.Error(), "zero measured stalls per core") {
+		t.Errorf("Fit = %v, want the measured factor's error", err)
+	}
+	// A non-finite stall count fails category B's search as well.
+	s.Samples[5].HW["B"] = math.Inf(1)
+	if _, err := pl.Fit(context.Background(), s, []int{24}); err == nil || !strings.Contains(err.Error(), "extrapolating B") {
+		t.Errorf("Fit = %v, want category B's error first", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := pl.Fit(ctx, s, []int{24}); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled Fit = %v, want context.Canceled", err)
 	}
 }
 

@@ -122,13 +122,19 @@ func Approximate(xs, ys []float64, opt Options) (*Fit, error) {
 	if err != nil {
 		return nil, err
 	}
+	return Best(cands), nil
+}
+
+// Best returns the candidate with the lowest checkpoint RMSE, the first
+// one on a tie. cands must not be empty.
+func Best(cands []*Fit) *Fit {
 	best := cands[0]
 	for _, c := range cands[1:] {
 		if c.CheckpointRMSE < best.CheckpointRMSE {
 			best = c
 		}
 	}
-	return best, nil
+	return best
 }
 
 // CandidateFits returns every kernel/prefix candidate that survives the
@@ -136,19 +142,43 @@ func Approximate(xs, ys []float64, opt Options) (*Fit, error) {
 // step of the pipeline uses the full candidate set to select by correlation
 // instead of by RMSE.
 func CandidateFits(xs, ys []float64, opt Options) ([]*Fit, error) {
-	if len(xs) != len(ys) {
-		return nil, ErrBadInput
+	s := NewSearch(xs, ys, opt)
+	for i := 0; i < s.Len(); i++ {
+		s.Fit(i)
+	}
+	return s.Candidates()
+}
+
+// Search is one window's kernel × prefix candidate search, split so that a
+// caller can run its candidates on any goroutines: NewSearch validates the
+// window and readies what every candidate shares, Fit(i) fits and scores
+// candidate i into its own slot, and Candidates gathers the survivors once
+// every Fit has returned. Fit may run concurrently for distinct i.
+type Search struct {
+	// err is the window's validation error; a search with one has no
+	// candidates to fit.
+	err      error
+	xs, ys   []float64
+	opt      Options
+	prefixes []int
+	cpX, cpY []float64
+	maxAbsY  float64
+	// The realism filters' grids and limits depend only on the window and
+	// the options, so every candidate shares one set.
+	grid, tailGrid, tailLimit []float64
+	// slots[i] is candidate i's fit, nil when it was rejected; candidate i
+	// fits kernel i / len(prefixes) on prefix i % len(prefixes).
+	slots []*Fit
+}
+
+// NewSearch validates the window and readies its candidate search. A
+// window that fails validation yields a search with no candidates whose
+// Candidates reports the error.
+func NewSearch(xs, ys []float64, opt Options) *Search {
+	if err := checkWindow(xs, ys); err != nil {
+		return &Search{err: err}
 	}
 	m := len(xs)
-	if m < 2 {
-		return nil, ErrBadInput
-	}
-	if !sort.Float64sAreSorted(xs) {
-		return nil, fmt.Errorf("fit: xs must be sorted ascending")
-	}
-	if !stats.AllFinite(xs) || !stats.AllFinite(ys) {
-		return nil, fmt.Errorf("fit: non-finite measurement")
-	}
 	opt = opt.withDefaults(xs)
 
 	// Partition into fitting prefix range and checkpoints. With very few
@@ -168,7 +198,6 @@ func CandidateFits(xs, ys []float64, opt Options) ([]*Fit, error) {
 			c = m - 1
 		}
 	}
-	cpX, cpY := xs[m-c:], ys[m-c:]
 
 	maxAbsY := 0.0
 	for _, y := range ys {
@@ -176,40 +205,74 @@ func CandidateFits(xs, ys []float64, opt Options) ([]*Fit, error) {
 			maxAbsY = a
 		}
 	}
-
-	// The realism filters' grids and limits depend only on the window and
-	// the options, so every candidate shares one set.
-	grid := realismGrid(math.Min(1, xs[0]), opt.MaxX)
-	var tailGrid, tailLimit []float64
-	if opt.TailSlopeCap > 0 {
-		tailGrid, tailLimit = tailBound(xs, ys, opt, maxAbsY)
+	s := &Search{
+		xs: xs, ys: ys, opt: opt, prefixes: prefixes,
+		cpX: xs[m-c:], cpY: ys[m-c:], maxAbsY: maxAbsY,
+		grid:  realismGrid(math.Min(1, xs[0]), opt.MaxX),
+		slots: make([]*Fit, len(opt.Kernels)*len(prefixes)),
 	}
+	if opt.TailSlopeCap > 0 {
+		s.tailGrid, s.tailLimit = tailBound(xs, ys, opt, maxAbsY)
+	}
+	return s
+}
 
+// checkWindow validates a measurement window for a candidate search.
+func checkWindow(xs, ys []float64) error {
+	if len(xs) != len(ys) || len(xs) < 2 {
+		return ErrBadInput
+	}
+	if !sort.Float64sAreSorted(xs) {
+		return fmt.Errorf("fit: xs must be sorted ascending")
+	}
+	if !stats.AllFinite(xs) || !stats.AllFinite(ys) {
+		return fmt.Errorf("fit: non-finite measurement")
+	}
+	return nil
+}
+
+// Len is the number of candidates, kernels × prefixes.
+func (s *Search) Len() int { return len(s.slots) }
+
+// Fit fits candidate i and keeps it, scored, if it survives the realism
+// filters.
+func (s *Search) Fit(i int) {
+	kern, plen := s.opt.Kernels[i/len(s.prefixes)], s.prefixes[i%len(s.prefixes)]
+	f := fitOne(kern, s.xs[:plen], s.ys[:plen])
+	if f == nil {
+		return
+	}
+	f.PrefixLen = plen
+	if !realistic(f, s.grid, s.opt, s.maxAbsY) {
+		return
+	}
+	if !tailGrowthOK(f, s.tailGrid, s.tailLimit) {
+		return
+	}
+	// The candidate must also describe the measurements it saw.
+	fullFit, err := stats.NRMSE(f.EvalSeries(s.xs[:plen]), s.ys[:plen])
+	if err != nil || math.IsNaN(fullFit) || fullFit > s.opt.MaxFitNRMSE {
+		return
+	}
+	pred := f.EvalSeries(s.cpX)
+	rmse, err := stats.NRMSE(pred, s.cpY)
+	if err != nil || math.IsNaN(rmse) || math.IsInf(rmse, 0) {
+		return
+	}
+	f.CheckpointRMSE = rmse
+	s.slots[i] = f
+}
+
+// Candidates returns the surviving candidates in kernel-major,
+// prefix-minor order, the order every selection breaks ties in. It reads
+// the slots, so it must run after every Fit has returned.
+func (s *Search) Candidates() ([]*Fit, error) {
+	if s.err != nil {
+		return nil, s.err
+	}
 	var cands []*Fit
-	for _, kern := range opt.Kernels {
-		for _, plen := range prefixes {
-			f := fitOne(kern, xs[:plen], ys[:plen])
-			if f == nil {
-				continue
-			}
-			f.PrefixLen = plen
-			if !realistic(f, grid, opt, maxAbsY) {
-				continue
-			}
-			if !tailGrowthOK(f, tailGrid, tailLimit) {
-				continue
-			}
-			// The candidate must also describe the measurements it saw.
-			fullFit, err := stats.NRMSE(f.EvalSeries(xs[:plen]), ys[:plen])
-			if err != nil || math.IsNaN(fullFit) || fullFit > opt.MaxFitNRMSE {
-				continue
-			}
-			pred := f.EvalSeries(cpX)
-			rmse, err := stats.NRMSE(pred, cpY)
-			if err != nil || math.IsNaN(rmse) || math.IsInf(rmse, 0) {
-				continue
-			}
-			f.CheckpointRMSE = rmse
+	for _, f := range s.slots {
+		if f != nil {
 			cands = append(cands, f)
 		}
 	}
@@ -411,6 +474,17 @@ func SelectByCorrelation(xs, factor []float64, targetXs, reference []float64, op
 	cands, err := CandidateFits(xs, factor, opt)
 	if err != nil {
 		return nil, err
+	}
+	return SelectCorrelated(cands, targetXs, reference, opt)
+}
+
+// SelectCorrelated is SelectByCorrelation's selection over candidates
+// already fitted, in kernel-major, prefix-minor order: the one whose
+// produced times correlate best with reference, within the produced-value
+// bounds of opt when any candidate meets them.
+func SelectCorrelated(cands []*Fit, targetXs, reference []float64, opt Options) (*Fit, error) {
+	if len(targetXs) != len(reference) || len(targetXs) == 0 {
+		return nil, ErrBadInput
 	}
 	// First pass honours the produced-value bounds; if they eliminate every
 	// candidate, fall back to the unbounded selection so the tool still

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/pool"
 )
 
 // genSeries builds a measurement series at core counts 1..m.
@@ -114,6 +116,44 @@ func TestCandidateFitsAllScored(t *testing.T) {
 		if c.PrefixLen < 3 || c.PrefixLen > len(xs) {
 			t.Errorf("bad prefix length in %v", c)
 		}
+	}
+}
+
+// TestSearchFitsInAnyOrder: a search's candidates may be fitted in any
+// order and on any goroutines; the gathered candidates are CandidateFits'
+// own, bit for bit, in the same kernel-major, prefix-minor order.
+func TestSearchFitsInAnyOrder(t *testing.T) {
+	xs, ys := genSeries(12, func(x float64) float64 { return (3 + 2*x + 0.4*x*x) / (1 + 0.05*x) * (1 + 0.02*math.Sin(3*x)) })
+	opt := Options{MaxX: 48, TailSlopeCap: 4}
+	want, err := CandidateFits(xs, ys, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reversed, concurrent := NewSearch(xs, ys, opt), NewSearch(xs, ys, opt)
+	for i := reversed.Len() - 1; i >= 0; i-- {
+		reversed.Fit(i)
+	}
+	pool.ForN(concurrent.Len(), 8, concurrent.Fit)
+	for name, s := range map[string]*Search{"reversed": reversed, "concurrent": concurrent} {
+		got, err := s.Candidates()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d candidates, CandidateFits %d", name, len(got), len(want))
+		}
+		for i, g := range got {
+			w := want[i]
+			if g.Kernel != w.Kernel || g.PrefixLen != w.PrefixLen || !sameBits(g.Params, w.Params) ||
+				math.Float64bits(g.CheckpointRMSE) != math.Float64bits(w.CheckpointRMSE) {
+				t.Errorf("%s candidate %d: %v, CandidateFits %v", name, i, g, w)
+			}
+		}
+	}
+	if s := NewSearch(xs, ys[1:], opt); s.Len() != 0 {
+		t.Errorf("a mismatched window has %d candidates, want 0", s.Len())
+	} else if _, err := s.Candidates(); err != ErrBadInput {
+		t.Errorf("mismatched window: Candidates error %v, want ErrBadInput", err)
 	}
 }
 

@@ -55,8 +55,15 @@ func LinearLSQ(xs, ys []float64, basis func(float64) []float64, nParams int) ([]
 // partial pivoting, writing the solution into x. m is n×n, flat and
 // row-major, where n = len(b) = len(x); m and b are clobbered. It is the one
 // solver behind both LinearLSQ and LevenbergMarquardt.
+//
+// Elimination step col reads only columns col and right of it, and back
+// substitution reads row r only from its diagonal on, so the solver skips
+// what nothing reads again: it swaps rows from the pivot column on, and it
+// leaves the eliminated entries below the diagonal as they were. Every
+// value it does read is computed as in textbook elimination, bit for bit.
 func solveLinear(m, b, x []float64) error {
 	n := len(b)
+	m, x = m[:n*n], x[:n]
 	for col := 0; col < n; col++ {
 		// Pivot: largest absolute value in this column at or below the
 		// diagonal.
@@ -71,34 +78,42 @@ func solveLinear(m, b, x []float64) error {
 		if maxAbs == 0 || math.IsNaN(maxAbs) {
 			return ErrSingular
 		}
-		pr := m[col*n : col*n+n]
+		// The pivot row from the diagonal on.
+		pr := m[col*n+col : col*n+n]
 		if pivot != col {
-			other := m[pivot*n : pivot*n+n]
-			for c := range pr {
-				pr[c], other[c] = other[c], pr[c]
+			other := m[pivot*n+col : pivot*n+n]
+			other = other[:len(pr)]
+			for c, v := range pr {
+				pr[c], other[c] = other[c], v
 			}
 			b[col], b[pivot] = b[pivot], b[col]
 		}
-		inv := 1 / pr[col]
+		inv := 1 / pr[0]
+		bc := b[col]
+		tail := pr[1:]
 		for r := col + 1; r < n; r++ {
-			row := m[r*n : r*n+n]
-			f := row[col] * inv
+			row := m[r*n+col : r*n+n]
+			f := row[0] * inv
 			if f == 0 {
 				continue
 			}
-			for c := col; c < n; c++ {
-				row[c] -= f * pr[c]
+			row = row[1:]
+			row = row[:len(tail)]
+			for c, v := range tail {
+				row[c] -= f * v
 			}
-			b[r] -= f * b[col]
+			b[r] -= f * bc
 		}
 	}
 	for r := n - 1; r >= 0; r-- {
-		row := m[r*n : r*n+n]
+		right := m[r*n+r+1 : r*n+n]
+		xr := x[r+1:]
+		xr = xr[:len(right)]
 		sum := b[r]
-		for c := r + 1; c < n; c++ {
-			sum -= row[c] * x[c]
+		for c, v := range right {
+			sum -= v * xr[c]
 		}
-		x[r] = sum / row[r]
+		x[r] = sum / m[r*n+r]
 		if math.IsNaN(x[r]) || math.IsInf(x[r], 0) {
 			return ErrSingular
 		}

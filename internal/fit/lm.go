@@ -1,10 +1,6 @@
 package fit
 
-import (
-	"math"
-
-	"repro/internal/stats"
-)
+import "math"
 
 // lmOptions tunes the Levenberg–Marquardt solver. The zero value is not
 // usable; use defaultLMOptions.
@@ -93,18 +89,68 @@ func LevenbergMarquardt(f func(p []float64, x float64) float64, xs, ys, start []
 
 // residuals fills r with eval(p, xs) - ys and returns χ², their sum of
 // squares in index order. It reports false, with χ² = +Inf, when any model
-// value is not finite.
+// value is not finite; r then holds garbage, and every caller discards it.
 func residuals(eval windowEval, xs, ys, p, r []float64) (float64, bool) {
 	eval(p, xs, r)
-	if !stats.AllFinite(r) {
-		return math.Inf(1), false
-	}
+	ys = ys[:len(r)]
 	chi := 0.0
 	for i, v := range r {
+		if !finite(v) {
+			return math.Inf(1), false
+		}
 		r[i] = v - ys[i]
 		chi += r[i] * r[i]
 	}
 	return chi, true
+}
+
+// finite reports whether v is neither NaN nor ±Inf.
+func finite(v float64) bool {
+	return !math.IsNaN(v) && !math.IsInf(v, 0)
+}
+
+// normalEquations fills jtj (n×n, row-major) with JᵀJ and jtr with Jᵀr for
+// the column-major Jacobian jac of n columns of m observations and the
+// residuals r. Each entry is a dot product over the observations, summed
+// from 0 in index order: the order its bits depend on. Row j takes Jᵀr's
+// entry j and JᵀJ's entries j..n-1, the products of column j with r and
+// with columns j..n-1; one pass over the observations accumulates up to
+// four of them, each in its own sum.
+func normalEquations(jac, r []float64, m, n int, jtj, jtr []float64) {
+	col := func(k int) []float64 { return jac[k*m : k*m+m] }
+	set := func(j, k int, v float64) { jtj[j*n+k], jtj[k*n+j] = v, v }
+	for j := 0; j < n; j++ {
+		cj := col(j)
+		k := j
+		if n-k >= 3 {
+			var a, b, c float64
+			jtr[j], a, b, c = dot4(cj, r, col(k), col(k+1), col(k+2))
+			set(j, k, a)
+			set(j, k+1, b)
+			set(j, k+2, c)
+			k += 3
+		} else {
+			var a float64
+			jtr[j], a = dot2(cj, r, col(k))
+			set(j, k, a)
+			k++
+		}
+		for ; k+4 <= n; k += 4 {
+			a, b, c, d := dot4(cj, col(k), col(k+1), col(k+2), col(k+3))
+			set(j, k, a)
+			set(j, k+1, b)
+			set(j, k+2, c)
+			set(j, k+3, d)
+		}
+		for ; k+2 <= n; k += 2 {
+			a, b := dot2(cj, col(k), col(k+1))
+			set(j, k, a)
+			set(j, k+1, b)
+		}
+		if k < n {
+			set(j, k, dot(cj, col(k)))
+		}
+	}
 }
 
 // dot is the sum of a[i]·b[i] in index order.
@@ -115,6 +161,56 @@ func dot(a, b []float64) float64 {
 		s += v * b[i]
 	}
 	return s
+}
+
+// dot2 is dot(a, b0) and dot(a, b1) in one pass.
+func dot2(a, b0, b1 []float64) (s0, s1 float64) {
+	b0, b1 = b0[:len(a)], b1[:len(a)]
+	for i, v := range a {
+		s0 += v * b0[i]
+		s1 += v * b1[i]
+	}
+	return s0, s1
+}
+
+// dot4 is dot(a, b0) through dot(a, b3) in one pass.
+func dot4(a, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
+	b0, b1, b2, b3 = b0[:len(a)], b1[:len(a)], b2[:len(a)], b3[:len(a)]
+	for i, v := range a {
+		s0 += v * b0[i]
+		s1 += v * b1[i]
+		s2 += v * b2[i]
+		s3 += v * b3[i]
+	}
+	return s0, s1, s2, s3
+}
+
+// forwardColumn turns col, the model evaluated at p with one parameter
+// stepped up by h, into that parameter's forward-difference derivative
+// (col[i] - ys[i] - r[i]) / h. It reports false at the first value that is
+// not finite, leaving col part converted.
+func forwardColumn(col, ys, r []float64, h float64) bool {
+	ys, r = ys[:len(col)], r[:len(col)]
+	for i, v := range col {
+		if !finite(v) {
+			return false
+		}
+		col[i] = (v - ys[i] - r[i]) / h
+	}
+	return true
+}
+
+// backwardColumn is forwardColumn for a step down by h: the derivative is
+// (r[i] - (col[i] - ys[i])) / h.
+func backwardColumn(col, ys, r []float64, h float64) bool {
+	ys, r = ys[:len(col)], r[:len(col)]
+	for i, v := range col {
+		if !finite(v) {
+			return false
+		}
+		col[i] = (r[i] - (v - ys[i])) / h
+	}
+	return true
 }
 
 // levenbergMarquardt is LevenbergMarquardt on ws, with the model evaluated
@@ -143,35 +239,20 @@ func (ws *workspace) levenbergMarquardt(eval windowEval, xs, ys, start []float64
 			p[j] = pj + h
 			eval(p, xs, col)
 			p[j] = pj
-			if stats.AllFinite(col) {
-				for i, v := range col {
-					col[i] = (v - ys[i] - r[i]) / h
-				}
+			if forwardColumn(col, ys, r, h) {
 				continue
 			}
-			// Retreat to a one-sided step in the other direction.
+			// Retreat to a one-sided step in the other direction; the
+			// evaluation overwrites whatever the forward step left.
 			p[j] = pj - h
 			eval(p, xs, col)
 			p[j] = pj
-			if !stats.AllFinite(col) {
+			if !backwardColumn(col, ys, r, h) {
 				return p, chi
-			}
-			for i, v := range col {
-				col[i] = (r[i] - (v - ys[i])) / h
 			}
 		}
 
-		// JᵀJ and Jᵀr, entry by entry: each is a dot product over the
-		// observations in index order, the summation order its bits
-		// depend on.
-		for j := 0; j < n; j++ {
-			cj := jac[j*m : j*m+m]
-			jtr[j] = dot(cj, r)
-			for k := j; k < n; k++ {
-				v := dot(cj, jac[k*m:k*m+m])
-				jtj[j*n+k], jtj[k*n+j] = v, v
-			}
-		}
+		normalEquations(jac, r, m, n, jtj, jtr)
 
 		gradNorm := 0.0
 		for j := 0; j < n; j++ {

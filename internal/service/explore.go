@@ -203,6 +203,11 @@ func (s *Service) explore(ctx context.Context, req ExploreRequest, run CellRunne
 	if len(plan.Machines) != 1 {
 		return nil, badRequest("explore takes exactly one machine (got %d)", len(plan.Machines))
 	}
+	// A window beyond the one machine fails every cell alike, so it fails
+	// the request, as it does predict's.
+	if len(plan.Cells) > 0 && plan.Cells[0].Err != nil {
+		return nil, plan.Cells[0].Err
+	}
 	n := len(plan.Cells)
 	if req.Budget < 0 {
 		return nil, badRequest("negative exploration budget %d", req.Budget)

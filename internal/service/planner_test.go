@@ -373,10 +373,11 @@ func TestSweepStreamWaitsForStartedCells(t *testing.T) {
 	}
 }
 
-// TestSweepWindowBeyondMachineFailsAtPlanTime: a sweep or explore cell
-// whose window exceeds its machine fails with the error predict answers
-// 400 with, and the collector runs for none of its samples, not even the
-// in-range ones.
+// TestSweepWindowBeyondMachineFailsAtPlanTime: a sweep cell whose window
+// exceeds its machine fails with the error predict answers 400 with, and
+// an explore, whose one machine that window fails in every cell, answers
+// that 400 itself. The collector runs for none of the samples, not even
+// the in-range ones.
 func TestSweepWindowBeyondMachineFailsAtPlanTime(t *testing.T) {
 	var sims atomic.Int64
 	svc := newTestService(t, Config{CollectSample: countingCollector(&sims)})
@@ -391,24 +392,12 @@ func TestSweepWindowBeyondMachineFailsAtPlanTime(t *testing.T) {
 	if n := sims.Load(); n != 0 {
 		t.Errorf("the sweep's failing cell ran the collector %d times, want 0", n)
 	}
-	ex, err := svc.Explore(bg, ExploreRequest{Workload: "memcached?skew=1.5,skew=2.5", Machine: "Haswell", MeasCores: 8, Scale: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	measured := 0
-	for _, c := range ex.Cells {
-		if c.Measured {
-			measured++
-			if c.Error != want {
-				t.Errorf("explore cell %s: error %q, want %q", c.Workload, c.Error, want)
-			}
-		}
-	}
-	if measured == 0 {
-		t.Error("the explore measured no cell")
+	_, err = svc.Explore(bg, ExploreRequest{Workload: "memcached?skew=1.5,skew=2.5", Machine: "Haswell", MeasCores: 8, Scale: 0.05})
+	if !IsBadRequest(err) || err.Error() != want {
+		t.Errorf("explore error = %v, want a BadRequestError %q", err, want)
 	}
 	if n := sims.Load(); n != 0 {
-		t.Errorf("the explore's failing cells ran the collector %d times, want 0", n)
+		t.Errorf("the explore ran the collector %d times, want 0", n)
 	}
 }
 
